@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 from itertools import combinations
+from typing import Iterator
 
 from .graph import Graph, complement
 
@@ -149,7 +150,6 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
     Supported kinds: "house", "domino", "bull", "C4" (and the other
     fixed shapes understood by :func:`pattern_edges`).
     """
-    pattern_edges(kind)  # reject unknown kinds up front
     return _find_embedding(g, kind)
 
 
@@ -182,11 +182,8 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def is_perfect_elimination_order(g: Graph, order) -> bool:
-    """True iff each vertex's later neighbors form a clique."""
-    order = tuple(order)
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order is not a permutation of the vertex ids")
+def _peo_violations(g: Graph, order: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+    """Each (v, u, w), u < w, where u and w are nonadjacent later neighbors of v."""
     later = 0
     for v in reversed(order):
         rn = g.neighbor_mask(v) & later
@@ -194,11 +191,23 @@ def is_perfect_elimination_order(g: Graph, order) -> bool:
         while m:
             low = m & -m
             u = low.bit_length() - 1
-            if rn & ~g.neighbor_mask(u) & ~low:
-                return False
+            bad = rn & ~g.neighbor_mask(u) & ~low
+            while bad:
+                lb = bad & -bad
+                w = lb.bit_length() - 1
+                if u < w:
+                    yield v, u, w
+                bad ^= lb
             m ^= low
         later |= 1 << v
-    return True
+
+
+def is_perfect_elimination_order(g: Graph, order) -> bool:
+    """True iff each vertex's later neighbors form a clique."""
+    order = tuple(order)
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order is not a permutation of the vertex ids")
+    return next(_peo_violations(g, order), None) is None
 
 
 def _cycle_from_triple(g: Graph, v: int, u: int, w: int) -> PatternWitness | None:
@@ -237,48 +246,34 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
     perfect elimination order exactly when the graph is chordal.
     """
     peo = tuple(reversed(lexbfs_order(g)))
-    later = 0
-    failing: list[tuple[int, int, int]] = []
-    for v in reversed(peo):
-        rn = g.neighbor_mask(v) & later
-        m = rn
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            bad = rn & ~g.neighbor_mask(u) & ~low
-            while bad:
-                lb = bad & -bad
-                w = lb.bit_length() - 1
-                if u < w:
-                    failing.append((v, u, w))
-                bad ^= lb
-            m ^= low
-        later |= 1 << v
-    if not failing:
-        return True, peo
+    violated = False
     # Some failing triple always embeds in a hole (take the hole vertex
-    # eliminated first); spurious triples may not, so walk them all.
-    for v, u, w in failing:
+    # eliminated first); spurious triples may not, so walk them in order.
+    for v, u, w in _peo_violations(g, peo):
+        violated = True
         witness = _cycle_from_triple(g, v, u, w)
         if witness is not None:
             return False, witness
-    raise AssertionError("failed elimination check but no induced cycle found")
+    if violated:
+        raise AssertionError("failed elimination check but no induced cycle found")
+    return True, peo
 
 
 # -- holes and antiholes ------------------------------------------------------
 
-def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitness | None:
-    """First induced cycle of length >= min_length (odd only if parity="odd").
+def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int, ...]]:
+    """Every induced cycle of length >= min_length closed by the DFS, in order.
 
     Depth-first extension of induced paths anchored at each vertex in
     ascending order; all cycle vertices beyond the anchor must exceed it,
     an extension may see only the current endpoint, and a cycle closes
-    when the new vertex also sees the anchor.
+    when the new vertex also sees the anchor. Each hole is closed twice,
+    once per orientation.
     """
     if parity not in ("any", "odd"):
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
 
-    def extend(path: list[int], path_mask: int, mid_mask: int) -> tuple[int, ...] | None:
+    def extend(path: list[int], path_mask: int, mid_mask: int) -> Iterator[tuple[int, ...]]:
         last = path[-1]
         anchor = path[0]
         for x in g.neighbors(last):
@@ -289,21 +284,24 @@ def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitn
             if g.adjacent(x, anchor):
                 length = len(path) + 1
                 if length >= min_length and (parity == "any" or length % 2 == 1):
-                    return (*path, x)
+                    yield (*path, x)
                 continue  # sees the anchor: usable only as a closing vertex
-            found = extend(path + [x], path_mask | (1 << x), mid_mask | (1 << last))
-            if found is not None:
-                return found
-        return None
+            yield from extend(path + [x], path_mask | (1 << x), mid_mask | (1 << last))
 
     for v1 in range(g.n):
         for v2 in g.neighbors(v1):
             if v2 < v1:
                 continue
-            cycle = extend([v1, v2], (1 << v1) | (1 << v2), 0)
-            if cycle is not None:
-                return PatternWitness(f"C{len(cycle)}", cycle)
-    return None
+            yield from extend([v1, v2], (1 << v1) | (1 << v2), 0)
+
+
+def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitness | None:
+    """First induced cycle of length >= min_length (odd only if parity="odd").
+
+    The first cycle closed by the depth-first search of :func:`_hole_closings`.
+    """
+    cycle = next(_hole_closings(g, parity, min_length), None)
+    return None if cycle is None else PatternWitness(f"C{len(cycle)}", cycle)
 
 
 def find_all_holes(g: Graph, parity: str = "any", min_length: int = 5) -> list[PatternWitness]:
@@ -313,35 +311,11 @@ def find_all_holes(g: Graph, parity: str = "any", min_length: int = 5) -> list[P
     vertex the smaller of the anchor's two cycle neighbors. Exponential in
     the worst case; intended for verification corpora.
     """
-    if parity not in ("any", "odd"):
-        raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
-    out: list[PatternWitness] = []
-
-    def extend(path: list[int], path_mask: int, mid_mask: int) -> None:
-        last = path[-1]
-        anchor = path[0]
-        for x in g.neighbors(last):
-            if x <= anchor or (path_mask >> x) & 1:
-                continue
-            if g.neighbor_mask(x) & mid_mask:
-                continue
-            if g.adjacent(x, anchor):
-                length = len(path) + 1
-                if (
-                    length >= min_length
-                    and (parity == "any" or length % 2 == 1)
-                    and path[1] < x
-                ):
-                    out.append(PatternWitness(f"C{length}", (*path, x)))
-                continue
-            extend(path + [x], path_mask | (1 << x), mid_mask | (1 << last))
-
-    for v1 in range(g.n):
-        for v2 in g.neighbors(v1):
-            if v2 < v1:
-                continue
-            extend([v1, v2], (1 << v1) | (1 << v2), 0)
-    return out
+    return [
+        PatternWitness(f"C{len(cycle)}", cycle)
+        for cycle in _hole_closings(g, parity, min_length)
+        if cycle[1] < cycle[-1]
+    ]
 
 
 def _co_witness(witness: PatternWitness) -> PatternWitness:

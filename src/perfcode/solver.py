@@ -140,24 +140,6 @@ def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     return EDSolution(False, None, None, "oracle")
 
 
-def _solve_component(g: Graph, user: tuple[int, ...], mode: str) -> tuple[bool, tuple[int, ...], str]:
-    """Solve one connected component; returns (exists, vertices, path)."""
-    sq = square(g)
-    nbh = closed_neighborhood_weights(g)
-    combined, _scale = wed_weights(sq, nbh, user)
-    chordal, cert = is_chordal(sq)
-    if mode == "chordal" and not chordal:
-        raise ValueError("forced chordal path but the square is not chordal")
-    if chordal and mode in ("auto", "chordal"):
-        result = mwis_chordal(sq, combined, cert)
-        path = "chordal-square"
-    else:
-        result = mwis_exact(sq, combined)
-        path = "exact-fallback"
-    found = sum(nbh[v] for v in result.vertices) == g.n
-    return found, result.vertices if found else (), path
-
-
 def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> EDSolution:
     """Minimum-weight efficient domination via MWIS on the square.
 
@@ -166,12 +148,16 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     when the square is chordal (always sound to test directly) or the
     exact branch-and-bound otherwise. An efficient dominating set exists
     iff the optimum's neighborhood weight covers the whole component.
+    Components are solved in order, stopping at the first without one.
 
     mode: "auto" picks per component; "chordal" / "exact" force one MWIS
-    route; "oracle" delegates to :func:`oracle_ed`. Diagnostics always
-    report chordality of the square; the exponential hole / odd-antihole
-    verdicts are skipped (None) above the verification budget
-    (PERFCODE_VERIFY_BUDGET, default 30).
+    route; "oracle" delegates to :func:`oracle_ed`. The diagnostics are
+    read off the component squares: the square of a disjoint union is the
+    disjoint union of the squares, and holes and antiholes are connected,
+    so each verdict on the whole square is the AND of the per-component
+    ones. Chordality is always reported; the exponential hole /
+    odd-antihole verdicts are skipped (None) when the whole graph's n is
+    above the verification budget (PERFCODE_VERIFY_BUDGET, default 30).
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
@@ -180,33 +166,36 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
         return oracle_ed(g, weights)
     unit = weights if weights is not None else tuple([0] * g.n)
 
-    sq = square(g)
-    budget = default_verify_budget()
+    parts = []
+    for component in connected_components(g):
+        sub, _ = induced_subgraph(g, component)
+        sq = square(sub)
+        parts.append((component, sub, sq, *is_chordal(sq)))
+    squares = [sq for _, _, sq, _, _ in parts]
+    within_budget = g.n <= default_verify_budget()
     diagnostics = SquareDiagnostics(
-        chordal=is_chordal(sq)[0],
-        hole_free=(find_hole(sq) is None) if g.n <= budget else None,
-        odd_antihole_free=(find_odd_antihole(sq) is None) if g.n <= budget else None,
+        chordal=all(chordal for _, _, _, chordal, _ in parts),
+        hole_free=all(find_hole(sq) is None for sq in squares) if within_budget else None,
+        odd_antihole_free=(
+            all(find_odd_antihole(sq) is None for sq in squares) if within_budget else None
+        ),
     )
 
     chosen: list[int] = []
-    all_chordal = True
-    for component in connected_components(g):
-        sub, remap = induced_subgraph(g, component)
-        inverse = {new: old for old, new in remap.items()}
-        sub_user = tuple(unit[inverse[v]] for v in range(sub.n))
-        found, verts, path = _solve_component(sub, sub_user, mode)
-        if path != "chordal-square":
-            all_chordal = False
-        if not found:
-            return EDSolution(False, None, None, _overall_path(all_chordal, mode), diagnostics)
-        chosen.extend(inverse[v] for v in verts)
+    path = "exact-fallback" if mode == "exact" else "chordal-square"
+    for component, sub, sq, chordal, cert in parts:
+        if mode == "chordal" and not chordal:
+            raise ValueError("forced chordal path but the square is not chordal")
+        nbh = closed_neighborhood_weights(sub)
+        combined, _scale = wed_weights(sq, nbh, tuple(unit[v] for v in component))
+        if chordal and mode != "exact":
+            result = mwis_chordal(sq, combined, cert)
+        else:
+            result = mwis_exact(sq, combined)
+            path = "exact-fallback"
+        if sum(nbh[v] for v in result.vertices) != sub.n:
+            return EDSolution(False, None, None, path, diagnostics)
+        chosen.extend(component[v] for v in result.vertices)
     chosen.sort()
-    path = _overall_path(all_chordal, mode)
     user_weight = sum(weights[v] for v in chosen) if weights is not None else None
     return EDSolution(True, tuple(chosen), user_weight, path, diagnostics)
-
-
-def _overall_path(all_chordal: bool, mode: str) -> str:
-    if mode == "exact":
-        return "exact-fallback"
-    return "chordal-square" if all_chordal else "exact-fallback"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_sets
+from conftest import disjoint_union, edge_sets
 from perfcode import (
     DimacsError,
     cycle_graph,
@@ -124,6 +124,56 @@ def test_cli_solve_no_ed_exit_code(tmp_path, capsys):
     code = main(["solve", str(path)])
     assert code == 3
     assert "exists: no" in capsys.readouterr().out
+
+
+# `perfcode solve` stdout recorded at commit 10c5d5e
+PINNED_C9_P5_K1 = (
+    "exists: yes\n"
+    "set: 1 4 7 11 14 15\n"
+    "weight: 18\n"
+    "path: exact-fallback\n"
+    "square chordal: no\n"
+    "square hole-free: no\n"
+    "square odd-antihole-free: yes\n"
+)
+PINNED_C7_P3 = (
+    "exists: no\n"
+    "set: -\n"
+    "weight: -\n"
+    "path: exact-fallback\n"
+    "square chordal: no\n"
+    "square hole-free: yes\n"
+    "square odd-antihole-free: no\n"
+)
+PINNED_C6_P4_11K2 = (
+    "exists: yes\n"
+    "set: 1 4 7 10 11 13 15 18 20 22 23 25 27 29 32\n"
+    "weight: 41\n"
+    "path: exact-fallback\n"
+    "square chordal: no\n"
+    "square hole-free: skipped\n"
+    "square odd-antihole-free: skipped\n"
+)
+
+
+@pytest.mark.parametrize(
+    "parts, code, expected",
+    [
+        # C9 has an e.d., and its square holds a C5 hole
+        ([cycle_graph(9), path_graph(5), path_graph(1)], 0, PINNED_C9_P5_K1),
+        # C7 has no e.d., and its square is co-C7
+        ([cycle_graph(7), path_graph(3)], 3, PINNED_C7_P3),
+        # n = 32 is past the default diagnostics budget of 30
+        ([cycle_graph(6), path_graph(4)] + [path_graph(2)] * 11, 0, PINNED_C6_P4_11K2),
+    ],
+)
+def test_cli_solve_disconnected_stdout_is_pinned(tmp_path, capsys, monkeypatch, parts, code, expected):
+    monkeypatch.delenv("PERFCODE_VERIFY_BUDGET", raising=False)
+    g = disjoint_union(*parts)
+    path = tmp_path / "union.col"
+    path.write_text(write_dimacs(g, tuple(3 * v % 7 + 1 for v in range(g.n))))
+    assert main(["solve", str(path)]) == code
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_solve_missing_weights_is_error(p7_file, capsys):

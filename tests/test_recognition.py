@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -186,6 +188,35 @@ def test_hole_search_matches_brute_force(ne):
     if odd is not None:
         assert witness_is_valid(g, odd)
         assert len(odd.vertices) % 2 == 1
+
+
+WITNESS_DIGEST = "c3bf3bdeaaad0f8fa09c19871be06ab4f75f2dfb172b0c8ca089dd1b9ebe4acd"
+
+
+def test_witnesses_are_pinned():
+    """The exact witnesses, orientations and list orders of the searches.
+
+    The tests above compare the searches with brute force by vertex set
+    only; this one pins which witness each returns. The digest was recorded
+    at commit 10c5d5e over 150 seeded G(n,p) graphs and their squares.
+    """
+    rng = random.Random(1503)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        n = rng.randint(5, 12)
+        p = rng.uniform(0.1, 0.8)
+        g = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for h in (g, square(g)):
+            results = (
+                is_chordal(h),
+                find_hole(h),
+                find_hole(h, parity="odd"),
+                find_all_holes(h),
+                find_odd_antihole(h),
+                find_all_odd_antiholes(h),
+            )
+            digest.update(repr(results).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 @given(edge_sets(max_n=9))

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import edge_sets
+from conftest import disjoint_union, edge_sets
 from perfcode import (
     closed_neighborhood_weights,
     complete_sun,
     cycle_graph,
+    find_hole,
+    find_odd_antihole,
     from_edge_list,
     mwis_chordal,
     mwis_exact,
@@ -19,6 +21,7 @@ from perfcode import (
     solve,
     square,
     verify_ed,
+    SquareDiagnostics,
 )
 from perfcode.solver import efficient_dominating_sets
 
@@ -115,6 +118,54 @@ def test_solve_respects_verify_budget(monkeypatch):
     monkeypatch.setenv("PERFCODE_VERIFY_BUDGET", "not-a-number")
     with pytest.raises(ValueError, match="PERFCODE_VERIFY_BUDGET"):
         solve(path_graph(4))
+
+
+def _assert_diagnostics_of_whole_square(g):
+    sq = square(g)
+    expected = SquareDiagnostics(
+        is_chordal(sq)[0], find_hole(sq) is None, find_odd_antihole(sq) is None
+    )
+    assert solve(g).diagnostics == expected
+
+
+@given(edge_sets(max_n=8), edge_sets(max_n=8))
+@settings(max_examples=120, deadline=None)
+def test_diagnostics_match_whole_square(ne_a, ne_b):
+    # the verdicts read off the component squares equal those of square(g)
+    _assert_diagnostics_of_whole_square(
+        disjoint_union(from_edge_list(*ne_a), from_edge_list(*ne_b))
+    )
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        # the square of C7 is co-C7, and the square of C9 holds a C5
+        (disjoint_union(cycle_graph(7), path_graph(3)), SquareDiagnostics(False, True, False)),
+        (disjoint_union(path_graph(3), cycle_graph(7)), SquareDiagnostics(False, True, False)),
+        (disjoint_union(path_graph(2), cycle_graph(9)), SquareDiagnostics(False, False, True)),
+    ],
+)
+def test_diagnostics_see_every_component(g, expected):
+    _assert_diagnostics_of_whole_square(g)
+    assert solve(g).diagnostics == expected
+
+
+def test_verify_budget_applies_to_the_whole_graph(monkeypatch):
+    # every component is under the budget, the whole graph is not
+    monkeypatch.setenv("PERFCODE_VERIFY_BUDGET", "6")
+    solution = solve(disjoint_union(cycle_graph(6), cycle_graph(5)))
+    assert solution.diagnostics == SquareDiagnostics(False, None, None)
+
+
+def test_forced_chordal_runs_components_in_order():
+    # C4 (square K4) comes first and has no e.d., so solving stops before C6
+    solution = solve(disjoint_union(cycle_graph(4), cycle_graph(6)), mode="chordal")
+    assert not solution.exists and solution.path == "chordal-square"
+    assert solution.diagnostics.chordal is False
+    # C6 comes first and its square is not chordal
+    with pytest.raises(ValueError, match="chordal"):
+        solve(disjoint_union(cycle_graph(6), cycle_graph(4)), mode="chordal")
 
 
 @given(edge_sets(max_n=7))

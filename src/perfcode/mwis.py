@@ -1,8 +1,8 @@
 """Maximum weight independent set solvers.
 
 Two routes: a linear-scan greedy for chordal graphs driven by a perfect
-elimination order, and an exact branch-and-bound used on arbitrary graphs
-(standing in, at desk scale, for polynomial perfect-graph machinery).
+elimination order, and an exact branch-and-bound for arbitrary graphs, on
+an explicit stack (the reference route of ``solve(mode="exact")``).
 Weights are nonnegative integers; zero-weight vertices are never put into
 result sets, so optima are canonical and deterministic.
 """
@@ -45,12 +45,17 @@ def mwis_chordal(g: Graph, weights: Sequence[int], peo: Sequence[int]) -> MwisRe
     order = tuple(peo)
     if not is_perfect_elimination_order(g, order):
         raise ValueError("order is not a perfect elimination order of the graph")
+    return _chordal_greedy(g, w, order)
+
+
+def _chordal_greedy(g: Graph, w: Sequence[int], peo: Sequence[int]) -> MwisResult:
+    """The two passes of :func:`mwis_chordal` on an already certified order."""
     position = [0] * g.n
-    for i, v in enumerate(order):
+    for i, v in enumerate(peo):
         position[v] = i
     residual = list(w)
     marked: list[int] = []
-    for v in order:
+    for v in peo:
         if residual[v] <= 0:
             continue
         marked.append(v)
@@ -91,13 +96,29 @@ def _clique_cover_bound(g: Graph, remaining: int, w: Sequence[int]) -> int:
     return bound
 
 
+def _branch_vertex(g: Graph, remaining: int) -> int:
+    """Where :func:`mwis_exact` branches: highest degree in g[remaining], least id on ties."""
+    pick = -1
+    pick_deg = -1
+    m = remaining
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        deg = (g.neighbor_mask(v) & remaining).bit_count()
+        if deg > pick_deg:
+            pick_deg = deg
+            pick = v
+        m ^= low
+    return pick
+
+
 def mwis_exact(g: Graph, weights: Sequence[int]) -> MwisResult:
     """Provably optimal maximum weight independent set by branch-and-bound.
 
-    Branches on the highest-degree remaining vertex (smallest id on ties),
-    include branch first, pruning with the greedy clique-cover bound; the
-    returned set is the first optimum met in that fixed order. Exponential
-    worst case.
+    Depth-first on an explicit stack: branches on :func:`_branch_vertex`,
+    include branch first, pruning with the greedy clique-cover bound when a
+    node is popped; the returned set is the first optimum met in that fixed
+    order. Exponential worst case.
     """
     w = _check_weights(g, weights)
     # Zero-weight vertices never enter an optimum here; drop them up front.
@@ -107,31 +128,22 @@ def mwis_exact(g: Graph, weights: Sequence[int]) -> MwisResult:
             pool |= 1 << v
     best_value = 0
     best_mask = 0
-
-    def branch(remaining: int, current_mask: int, current_value: int) -> None:
-        nonlocal best_value, best_mask
+    stack = [(pool, 0, 0)]
+    while stack:
+        remaining, current_mask, current_value = stack.pop()
         if not remaining:
             if current_value > best_value:
                 best_value = current_value
                 best_mask = current_mask
-            return
+            continue
         if current_value + _clique_cover_bound(g, remaining, w) <= best_value:
-            return
-        pick = -1
-        pick_deg = -1
-        m = remaining
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            deg = (g.neighbor_mask(v) & remaining).bit_count()
-            if deg > pick_deg:
-                pick_deg = deg
-                pick = v
-            m ^= low
-        branch(remaining & ~g.closed_mask(pick), current_mask | (1 << pick), current_value + w[pick])
-        branch(remaining & ~(1 << pick), current_mask, current_value)
-
-    branch(pool, 0, 0)
+            continue
+        pick = _branch_vertex(g, remaining)
+        # The include child is pushed last so that it is explored first.
+        stack.append((remaining & ~(1 << pick), current_mask, current_value))
+        stack.append(
+            (remaining & ~g.closed_mask(pick), current_mask | (1 << pick), current_value + w[pick])
+        )
     vertices = _mask_to_tuple(best_mask)
     return MwisResult(vertices, best_value, "branch-and-bound")
 

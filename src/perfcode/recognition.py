@@ -158,26 +158,26 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 def lexbfs_order(g: Graph) -> tuple[int, ...]:
     """LexBFS visit order; ties broken by smallest id.
 
-    Partition refinement: repeatedly visit the smallest id in the first
-    cell and split every cell into (neighbors, non-neighbors).
+    Partition refinement on bitmask cells: repeatedly visit the smallest
+    id in the first cell and split every cell into (neighbors,
+    non-neighbors), in that order.
     """
-    cells = [list(range(g.n))] if g.n else []
+    cells = [(1 << g.n) - 1] if g.n else []
     order = []
     while cells:
         first = cells[0]
-        v = first.pop(0)
+        low = first & -first
+        v = low.bit_length() - 1
         order.append(v)
-        if not first:
-            cells.pop(0)
+        cells[0] = first ^ low
         nb = g.neighbor_mask(v)
         refined = []
         for cell in cells:
-            hits = [x for x in cell if (nb >> x) & 1]
-            misses = [x for x in cell if not (nb >> x) & 1]
+            hits = cell & nb
             if hits:
                 refined.append(hits)
-            if misses:
-                refined.append(misses)
+            if cell ^ hits:
+                refined.append(cell ^ hits)
         cells = refined
     return tuple(order)
 

@@ -1,10 +1,13 @@
 """Efficient domination solvers.
 
 The main pipeline reduces (weighted) efficient domination on a graph to
-maximum weight independent set on its square, picking the chordal fast
-path when the square admits one. A separate exact-cover backtracker over
-closed neighborhoods acts as an independent oracle; the two routes share
-no solver code.
+maximum weight independent set on its square. A component whose square is
+chordal runs the chordal greedy; any other runs a weighted exact cover of
+the closed neighborhoods (each one a clique of the square, met exactly once
+by an e.d.), which returns the same set as the exact MWIS branch-and-bound
+that ``mode="exact"`` keeps as the reference route. A separate exact-cover
+backtracker, :func:`efficient_dominating_sets`, serves the independent
+oracle; it shares no code with the pipeline.
 """
 
 from __future__ import annotations
@@ -15,12 +18,20 @@ from typing import Iterator, Sequence
 
 from .graph import (
     Graph,
+    _mask_to_tuple,
     closed_neighborhood_weights,
     connected_components,
     induced_subgraph,
     square,
 )
-from .mwis import _check_weights, mwis_chordal, mwis_exact, wed_weights
+from .mwis import (
+    _branch_vertex,
+    _check_weights,
+    _chordal_greedy,
+    mwis_chordal,  # not called here; bench/tracing.py wraps it by this name
+    mwis_exact,
+    wed_weights,
+)
 from .recognition import find_hole, find_odd_antihole, is_chordal
 
 #: Environment variable overriding the default max n for the exponential
@@ -140,24 +151,92 @@ def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     return EDSolution(False, None, None, "oracle")
 
 
+def _precedes(sq: Graph, new: int, old: int) -> bool:
+    """True iff independent set `new` precedes `old` among mwis_exact's leaves on sq.
+
+    Both are vertex bitmasks of independent sets of sq, and mwis_exact is
+    assumed to start from every vertex (all weights positive). Walks its
+    branching rule from the root: a pick in both sets is included, a pick
+    in neither is excluded, and the first pick in exactly one set decides,
+    since the include branch is searched first.
+    """
+    remaining = (1 << sq.n) - 1
+    while True:
+        pick = _branch_vertex(sq, remaining)
+        in_new = (new >> pick) & 1
+        if in_new != (old >> pick) & 1:
+            return bool(in_new)
+        remaining &= ~sq.closed_mask(pick) if in_new else ~(1 << pick)
+
+
+def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...] | None:
+    """The e.d. of `sub` that mwis_exact on its square `sq` would return, or None.
+
+    Weighted exact cover of the closed neighborhoods, depth-first on an
+    explicit stack: branch on the uncovered vertex with the fewest
+    candidates (closed neighbors whose own closed neighborhood is still
+    uncovered; the scan stops at the first with 0 or 1), candidates in
+    ascending id, pruning nodes heavier than the best e.d. so far. Ties on
+    user weight go to the set that mwis_exact meets first (see
+    :func:`_precedes`), which is the one it returns: with the weights of
+    :func:`wed_weights` every e.d. outscores every other independent set of
+    the square, and each independent set is exactly one leaf of its search.
+    """
+    n = sub.n
+    closed = [sub.closed_mask(v) for v in range(n)]
+    members = [_mask_to_tuple(m) for m in closed]
+    full = (1 << n) - 1
+    best_weight = -1
+    best = 0
+    stack = [(0, 0, 0)]  # (covered, chosen, weight)
+    while stack:
+        covered, chosen, weight = stack.pop()
+        if best_weight >= 0 and weight > best_weight:
+            continue
+        if covered == full:
+            if best_weight < 0 or weight < best_weight or _precedes(sq, chosen, best):
+                best_weight, best = weight, chosen
+            continue
+        fewest = None
+        rest = full ^ covered
+        while rest:
+            low = rest & -rest
+            cands = [c for c in members[low.bit_length() - 1] if not closed[c] & covered]
+            if fewest is None or len(cands) < len(fewest):
+                fewest = cands
+                if len(cands) <= 1:
+                    break
+            rest ^= low
+        for c in reversed(fewest):
+            stack.append((covered | closed[c], chosen | (1 << c), weight + user[c]))
+    return _mask_to_tuple(best) if best_weight >= 0 else None
+
+
 def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> EDSolution:
     """Minimum-weight efficient domination via MWIS on the square.
 
-    Per connected component: square the component, combine its closed
-    neighborhood sizes with the user weights, and run the chordal greedy
-    when the square is chordal (always sound to test directly) or the
-    exact branch-and-bound otherwise. An efficient dominating set exists
-    iff the optimum's neighborhood weight covers the whole component.
-    Components are solved in order, stopping at the first without one.
+    Per connected component: square the component and test the square for
+    chordality (always tested directly, never assumed). A chordal square
+    runs the two-pass greedy MWIS over the certified perfect elimination
+    order, on closed neighborhood sizes combined with the user weights
+    (:func:`wed_weights`); an e.d. exists iff the optimum's neighborhood
+    weight covers the whole component. A non-chordal square runs an exact
+    cover search over the closed neighborhoods (path "exact-fallback"),
+    which returns the very set the exact MWIS branch-and-bound would: ties
+    on user weight are broken by that search's own branching order.
+    Components are solved in order, stopping at the first without an e.d.
 
-    mode: "auto" picks per component; "chordal" / "exact" force one MWIS
-    route; "oracle" delegates to :func:`oracle_ed`. The diagnostics are
-    read off the component squares: the square of a disjoint union is the
-    disjoint union of the squares, and holes and antiholes are connected,
-    so each verdict on the whole square is the AND of the per-component
-    ones. Chordality is always reported; the exponential hole /
-    odd-antihole verdicts are skipped (None) when the whole graph's n is
-    above the verification budget (PERFCODE_VERIFY_BUDGET, default 30).
+    mode: "auto" picks per component as above; "chordal" forces the greedy
+    and raises ValueError at the first component whose square is not
+    chordal; "exact" forces :func:`mwis_exact` on every square, the
+    reference MWIS route; "oracle" delegates to :func:`oracle_ed`. The
+    diagnostics are read off the component squares: the square of a
+    disjoint union is the disjoint union of the squares, and holes and
+    antiholes are connected, so each verdict on the whole square is the AND
+    of the per-component ones. Chordality is always reported; the
+    exponential hole / odd-antihole verdicts are skipped (None) when the
+    whole graph's n is above the verification budget
+    (PERFCODE_VERIFY_BUDGET, default 30).
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
@@ -186,16 +265,23 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     for component, sub, sq, chordal, cert in parts:
         if mode == "chordal" and not chordal:
             raise ValueError("forced chordal path but the square is not chordal")
-        nbh = closed_neighborhood_weights(sub)
-        combined, _scale = wed_weights(sq, nbh, tuple(unit[v] for v in component))
-        if chordal and mode != "exact":
-            result = mwis_chordal(sq, combined, cert)
-        else:
-            result = mwis_exact(sq, combined)
+        local = tuple(unit[v] for v in component)
+        if mode == "auto" and not chordal:
+            vertices = _min_weight_ed(sub, sq, local)
             path = "exact-fallback"
-        if sum(nbh[v] for v in result.vertices) != sub.n:
+        else:
+            nbh = closed_neighborhood_weights(sub)
+            combined, _scale = wed_weights(sq, nbh, local)
+            if chordal and mode != "exact":
+                vertices = _chordal_greedy(sq, combined, cert).vertices
+            else:
+                vertices = mwis_exact(sq, combined).vertices
+                path = "exact-fallback"
+            if sum(nbh[v] for v in vertices) != sub.n:
+                vertices = None
+        if vertices is None:
             return EDSolution(False, None, None, path, diagnostics)
-        chosen.extend(component[v] for v in result.vertices)
+        chosen.extend(component[v] for v in vertices)
     chosen.sort()
     user_weight = sum(weights[v] for v in chosen) if weights is not None else None
     return EDSolution(True, tuple(chosen), user_weight, path, diagnostics)

@@ -176,6 +176,14 @@ def test_cli_solve_disconnected_stdout_is_pinned(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().out == expected
 
 
+def test_cli_solve_long_cycle(tmp_path, capsys):
+    path = tmp_path / "c3000.col"
+    path.write_text(write_dimacs(cycle_graph(3000)))
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "exists: yes" in out and "path: exact-fallback" in out
+
+
 def test_cli_solve_missing_weights_is_error(p7_file, capsys):
     code = main(["solve", str(p7_file), "--weights", "from-file"])
     assert code == 1

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import disjoint_union, edge_sets
+from conftest import disjoint_union, edge_sets, planted_ed_graph
 from perfcode import (
     closed_neighborhood_weights,
     complete_sun,
@@ -24,6 +25,8 @@ from perfcode import (
     SquareDiagnostics,
 )
 from perfcode.solver import efficient_dominating_sets
+
+WEIGHT_RANGES = {"unit": (1, 1), "0..3": (0, 3), "1..20": (1, 20)}
 
 
 def test_verify_ed_examples():
@@ -263,3 +266,79 @@ def test_oracle_solutions_enumerated_once():
     sols = list(efficient_dominating_sets(g))
     assert len(sols) == len(set(sols)) == 9
     assert all(verify_ed(g, d) for d in sols)
+
+
+@st.composite
+def non_chordal_square_graphs(draw, max_n: int = 12):
+    """Connected graphs on a C_k backbone (k >= 6) whose square is not chordal."""
+    n = draw(st.integers(6, max_n))
+    k = draw(st.integers(6, n))
+    edges = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
+    edges |= {(draw(st.integers(0, v - 1)), v) for v in range(k, n)}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))), max_size=3))
+    g = from_edge_list(n, sorted(edges))
+    assume(not is_chordal(square(g))[0])
+    return g
+
+
+@given(
+    non_chordal_square_graphs(),
+    st.sampled_from([None, *WEIGHT_RANGES]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_cover_fallback_returns_the_exact_mwis_answer(g, weights, rng):
+    # mode="exact" runs mwis_exact on the square: the reference route
+    user = None if weights is None else [rng.randint(*WEIGHT_RANGES[weights]) for _ in range(g.n)]
+    solution = solve(g, user)
+    assert solution == solve(g, user, mode="exact")
+    assert solution.path == "exact-fallback"
+
+
+def test_auto_mode_does_not_run_mwis_exact(monkeypatch):
+    import perfcode.solver
+
+    monkeypatch.setattr(perfcode.solver, "mwis_exact", None)
+    solution = solve(disjoint_union(cycle_graph(6), path_graph(4)), (1, 2, 3, 4, 5, 6, 1, 1, 1, 1))
+    assert solution.vertices == (0, 3, 6, 9) and solution.path == "exact-fallback"
+
+
+def test_exact_cover_tie_decided_after_a_shared_pick():
+    # unweighted, the e.d.s (4, 9, 10) and (5, 6, 9) tie; mwis_exact picks
+    # 1, 0, 7 (in neither), 9 (in both, so its square neighborhood goes),
+    # then 4, which puts (4, 9, 10) first
+    edges = [(0, 8), (0, 9), (1, 7), (1, 8), (1, 9), (2, 9), (3, 9), (4, 5), (4, 7)]
+    edges += [(6, 7), (6, 8), (6, 10), (8, 10), (9, 11)]
+    g = from_edge_list(12, edges)
+    assert sorted(efficient_dominating_sets(g)) == [(4, 9, 10), (5, 6, 9)]
+    assert solve(g).vertices == solve(g, mode="exact").vertices == (4, 9, 10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_graphs_match_the_oracle(seed):
+    rng = random.Random(seed)
+    for n in (40, 57, 73, 90):
+        g, planted = planted_ed_graph(n, rng)
+        near_miss = from_edge_list(n, [*g.edges(), tuple(rng.sample(planted, 2))])
+        user = [rng.randint(1, 20) for _ in range(n)]
+        for h in (g, near_miss):
+            via_pipeline = solve(h, user)
+            via_oracle = oracle_ed(h, user)
+            assert via_pipeline.exists == via_oracle.exists
+            assert via_pipeline.user_weight == via_oracle.user_weight
+            assert via_pipeline.exists is (h is g)
+            if via_pipeline.exists:
+                assert verify_ed(h, via_pipeline.vertices)
+
+
+@pytest.mark.parametrize("n, exists", [(3000, True), (3001, False)])
+def test_long_cycles_need_no_recursion(n, exists):
+    solution = solve(cycle_graph(n))
+    assert solution.exists is exists and solution.path == "exact-fallback"
+    if exists:
+        assert solution.vertices == tuple(range(0, n, 3))
+
+
+def test_mwis_exact_needs_no_recursion():
+    result = mwis_exact(from_edge_list(1500, []), [1] * 1500)
+    assert result.vertices == tuple(range(1500)) and result.value == 1500

@@ -9,8 +9,9 @@ None; searches are deterministic (ascending-id enumeration throughout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -98,43 +99,72 @@ def witness_is_valid(g: Graph, witness: PatternWitness) -> bool:
     return True
 
 
+@lru_cache(maxsize=32)
+def _constraint_table(kind: str) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """Per position i, the (p, adjacent?) pair for every later position p.
+
+    Bounded, because callers choose the kinds (any path or cycle length).
+    """
+    k, edges = pattern_edges(kind)
+    return tuple(
+        tuple((p, frozenset((i, p)) in edges) for p in range(i + 1, k)) for i in range(k)
+    )
+
+
+def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
+    """Every induced embedding of a fixed pattern, in lexicographic order.
+
+    Iterative depth-first search over pattern positions with forward
+    checking. Every position keeps its candidates as a bitmask: the
+    unused vertices adjacent to each placed position the pattern joins it
+    to and nonadjacent to every other placed position. Placing a vertex
+    narrows the masks of all later positions, and is undone at once if
+    one of them empties. Candidates are tried lowest id first, so
+    embeddings come out as ascending tuples.
+    """
+    table = _constraint_table(kind)
+    k = len(table)
+    if g.n < k:
+        return
+    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    at = [0] * k
+    # cands[i][p]: candidates for position p given the placements before i;
+    # cands[i][i] also drops the ones already tried.
+    cands = [[full] * k for _ in range(k)]
+    i = 0
+    while i >= 0:
+        row = cands[i]
+        cand = row[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        row[i] = cand ^ low
+        v = low.bit_length() - 1
+        at[i] = v
+        if i + 1 == k:
+            yield tuple(at)
+            continue
+        seen = masks[v]
+        unseen = ~(seen | low)
+        nxt = cands[i + 1]
+        for p, adjacent in table[i]:
+            narrowed = row[p] & (seen if adjacent else unseen)
+            if not narrowed:
+                break
+            nxt[p] = narrowed
+        else:
+            i += 1
+
+
 def _find_embedding(g: Graph, kind: str) -> PatternWitness | None:
     """Lexicographically least induced embedding of a fixed pattern, if any.
 
-    Backtracks over assignments position by position in ascending vertex
-    order, checking adjacency against all previously placed positions, so
-    the first complete assignment is the least witness tuple.
+    The first embedding :func:`_embeddings` yields.
     """
-    k, edges = pattern_edges(kind)
-    if g.n < k:
-        return None
-    need = [[(j, frozenset((i, j)) in edges) for j in range(i)] for i in range(k)]
-    assigned: list[int] = []
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        for v in range(g.n):
-            if (used >> v) & 1:
-                continue
-            ok = True
-            for j, want in need[i]:
-                if g.adjacent(assigned[j], v) != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned.append(v)
-            used |= 1 << v
-            if i + 1 == k or place(i + 1):
-                return True
-            assigned.pop()
-            used &= ~(1 << v)
-        return False
-
-    if place(0):
-        return PatternWitness(kind, tuple(assigned))
-    return None
+    first = next(_embeddings(g, kind), None)
+    return None if first is None else PatternWitness(kind, first)
 
 
 def find_induced_path(g: Graph, k: int) -> PatternWitness | None:
@@ -268,31 +298,38 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
     ascending order; all cycle vertices beyond the anchor must exceed it,
     an extension may see only the current endpoint, and a cycle closes
     when the new vertex also sees the anchor. Each hole is closed twice,
-    once per orientation.
+    once per orientation. The search runs on an explicit stack of
+    (neighbor iterator, interior mask) frames, one per path vertex after
+    the anchor, so path length is not bounded by recursion. The paths are
+    induced, so the only path vertices the endpoint sees are the anchor
+    (if the path has two vertices) and its predecessor.
     """
     if parity not in ("any", "odd"):
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
-
-    def extend(path: list[int], path_mask: int, mid_mask: int) -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        anchor = path[0]
-        for x in g.neighbors(last):
-            if x <= anchor or (path_mask >> x) & 1:
+    nbr = g.neighbor_mask
+    for anchor in range(g.n):
+        anchor_nb = nbr(anchor)
+        for v2 in g.neighbors(anchor):
+            if v2 < anchor:
                 continue
-            if g.neighbor_mask(x) & mid_mask:
-                continue
-            if g.adjacent(x, anchor):
-                length = len(path) + 1
-                if length >= min_length and (parity == "any" or length % 2 == 1):
-                    yield (*path, x)
-                continue  # sees the anchor: usable only as a closing vertex
-            yield from extend(path + [x], path_mask | (1 << x), mid_mask | (1 << last))
-
-    for v1 in range(g.n):
-        for v2 in g.neighbors(v1):
-            if v2 < v1:
-                continue
-            yield from extend([v1, v2], (1 << v1) | (1 << v2), 0)
+            path = [anchor, v2]
+            stack = [(iter(g.neighbors(v2)), 0)]
+            while stack:
+                neighbors, mid_mask = stack[-1]
+                for x in neighbors:
+                    if x <= anchor or x == path[-2] or nbr(x) & mid_mask:
+                        continue
+                    if (anchor_nb >> x) & 1:
+                        length = len(path) + 1
+                        if length >= min_length and (parity == "any" or length % 2 == 1):
+                            yield (*path, x)
+                        continue  # sees the anchor: usable only as a closing vertex
+                    stack.append((iter(g.neighbors(x)), mid_mask | (1 << path[-1])))
+                    path.append(x)
+                    break
+                else:
+                    stack.pop()
+                    path.pop()
 
 
 def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitness | None:

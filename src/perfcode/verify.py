@@ -20,6 +20,7 @@ from typing import Iterator
 from .graph import Graph, from_edge_list, square
 from .recognition import (
     PatternWitness,
+    _embeddings,
     class_membership,
     find_all_odd_antiholes,
     find_hole,
@@ -189,28 +190,14 @@ def _split_seed(master: int, index: int) -> int:
 # -- single-trial checks ------------------------------------------------------
 
 def _find_induced_c4s(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All induced 4-cycles, as (a, b, c, d) with edges ab, bc, cd, da."""
-    out = []
-    for quad in combinations(range(g.n), 4):
-        a, b, c, d = quad
-        edges = sum(
-            g.adjacent(x, y) for x, y in combinations(quad, 2)
-        )
-        if edges != 4:
-            continue
-        for order in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-            w, x, y, z = order
-            if (
-                g.adjacent(w, x)
-                and g.adjacent(x, y)
-                and g.adjacent(y, z)
-                and g.adjacent(z, w)
-                and not g.adjacent(w, y)
-                and not g.adjacent(x, z)
-            ):
-                out.append(order)
-                break
-    return out
+    """All induced 4-cycles, as (a, b, c, d) with edges ab, bc, cd, da.
+
+    One orientation per cycle: a is its least vertex and b < d; cycles
+    are listed in the lexicographic order of their sorted vertex sets.
+    """
+    return sorted(
+        (c for c in _embeddings(g, "C4") if c[0] < min(c[1:]) and c[1] < c[3]), key=sorted
+    )
 
 
 def _record(g: Graph, theorem: str, detail: dict) -> dict:

@@ -88,17 +88,25 @@ def independent_sets(n: int, edges):
             yield subset
 
 
+def induced_embeddings(n: int, edges, k: int, pattern: set[frozenset[int]]):
+    """Every ordered induced copy of the pattern, in lexicographic order."""
+    adj = adjacency(n, edges)
+    for perm in permutations(range(n), k):
+        if all(
+            (perm[j] in adj[perm[i]]) == (frozenset((i, j)) in pattern)
+            for i, j in combinations(range(k), 2)
+        ):
+            yield perm
+
+
+def least_induced(n: int, edges, k: int, pattern: set[frozenset[int]]):
+    """Lexicographically least ordered induced copy of the pattern, or None."""
+    return next(induced_embeddings(n, edges, k, pattern), None)
+
+
 def has_induced(n: int, edges, k: int, pattern: set[frozenset[int]]) -> bool:
     """Any induced copy of the pattern (given as edges on 0..k-1)?"""
-    adj = adjacency(n, edges)
-    for combo in combinations(range(n), k):
-        for perm in permutations(combo):
-            if all(
-                (perm[j] in adj[perm[i]]) == (frozenset((i, j)) in pattern)
-                for i, j in combinations(range(k), 2)
-            ):
-                return True
-    return False
+    return least_induced(n, edges, k, pattern) is not None
 
 
 def path_pattern(k: int) -> set[frozenset[int]]:

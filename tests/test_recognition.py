@@ -25,7 +25,14 @@ from perfcode import (
     witness_is_valid,
     PatternWitness,
 )
-from perfcode.recognition import find_all_holes, find_all_odd_antiholes, pattern_edges
+from perfcode.recognition import (
+    CLASS_TAGS,
+    _embeddings,
+    find_all_holes,
+    find_all_odd_antiholes,
+    pattern_edges,
+)
+from perfcode.verify import _find_induced_c4s
 
 
 def build(kind):
@@ -95,6 +102,55 @@ def test_pattern_searches_agree_with_brute_force(ne):
         assert (found is not None) == bf.has_induced(n, edges, k, set(pat))
         if found is not None:
             assert witness_is_valid(g, found)
+
+
+@given(edge_sets(max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_find_pattern_returns_least_embedding(ne):
+    n, edges = ne
+    g = from_edge_list(n, edges)
+    for kind in ("P4", "P6", "C4", "C5", "house", "domino", "bull"):
+        k, pat = pattern_edges(kind)
+        found = find_pattern(g, kind)
+        assert (None if found is None else found.vertices) == bf.least_induced(
+            n, edges, k, set(pat)
+        )
+    k, pat = pattern_edges("C4")
+    assert list(_embeddings(g, "C4")) == list(bf.induced_embeddings(n, edges, k, set(pat)))
+
+
+EMBEDDING_DIGEST = "fa7b3a56cc20c23940231d5cc305f183019a913bb552122d6bec0148136756cf"
+
+
+def test_embeddings_are_pinned():
+    """The exact witnesses of the pattern searches and the C4 lists.
+
+    The digest was recorded at commit eea5672, before the searches moved
+    to bitmask candidate sets, over 150 seeded G(n,p) graphs and their
+    squares.
+    """
+    fixed_kinds = ("C3", "C4", "C5", "C6", "C7", "co-C5", "co-C7", "house", "domino", "bull")
+    rng = random.Random(2604)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        n = rng.randint(5, 12)
+        p = rng.uniform(0.1, 0.8)
+        g = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for h in (g, square(g)):
+            results = (
+                [find_pattern(h, kind) for kind in fixed_kinds],
+                [find_induced_path(h, k) for k in range(1, 8)],
+                [class_membership(h, tag) for tag in CLASS_TAGS],
+                _find_induced_c4s(h),
+            )
+            digest.update(repr(results).encode())
+    assert digest.hexdigest() == EMBEDDING_DIGEST
+
+
+def test_pattern_searches_on_a_long_cycle():
+    c3000 = cycle_graph(3000)
+    assert find_pattern(c3000, "C5") is None
+    assert find_induced_path(c3000, 6) == PatternWitness("P6", (0, 1, 2, 3, 4, 5))
 
 
 # -- chordality ---------------------------------------------------------------
@@ -188,6 +244,22 @@ def test_hole_search_matches_brute_force(ne):
     if odd is not None:
         assert witness_is_valid(g, odd)
         assert len(odd.vertices) % 2 == 1
+
+
+def test_hole_search_with_min_length_four():
+    c4 = PatternWitness("C4", (0, 1, 2, 3))
+    assert find_hole(cycle_graph(4), min_length=4) == c4
+    assert find_all_holes(cycle_graph(4), min_length=4) == [c4]
+
+
+def test_hole_searches_on_long_cycles():
+    whole = PatternWitness("C3000", tuple(range(3000)))
+    assert find_hole(cycle_graph(3000)) == whole
+    assert find_all_holes(cycle_graph(3000)) == [whole]
+    assert is_perfect_desk(cycle_graph(3001)) == (
+        False,
+        PatternWitness("C3001", tuple(range(3001))),
+    )
 
 
 WITNESS_DIGEST = "c3bf3bdeaaad0f8fa09c19871be06ab4f75f2dfb172b0c8ca089dd1b9ebe4acd"

@@ -54,7 +54,14 @@ def default_verify_budget() -> int:
 
 @dataclass(frozen=True)
 class SquareDiagnostics:
-    """Structure verdicts for the square; None means skipped over budget."""
+    """Structure verdicts for the square; None means skipped over budget.
+
+    :func:`solve` reads what it can off each component square's
+    chordality certificate. A chordal square has no induced cycle of
+    length >= 4, so no hole; nor an odd antihole, since every co-C_k with
+    k >= 6 holds an induced C4. A certificate C_k with k >= 5 is itself a
+    hole. Only a C4 certificate leaves both searches to run.
+    """
 
     chordal: bool
     hole_free: bool | None
@@ -236,7 +243,12 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     of the per-component ones. Chordality is always reported; the
     exponential hole / odd-antihole verdicts are skipped (None) when the
     whole graph's n is above the verification budget
-    (PERFCODE_VERIFY_BUDGET, default 30).
+    (PERFCODE_VERIFY_BUDGET, default 30). Within it, a component's verdicts
+    come off its chordality certificate where they can (see
+    :class:`SquareDiagnostics`): a chordal square is hole-free and
+    odd-antihole-free, and a C_{>=5} certificate is a hole; otherwise
+    :func:`find_hole` / :func:`find_odd_antihole` search the square. A
+    connected graph is its own component and is not copied.
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
@@ -245,18 +257,23 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
         return oracle_ed(g, weights)
     unit = weights if weights is not None else tuple([0] * g.n)
 
+    components = connected_components(g)
     parts = []
-    for component in connected_components(g):
-        sub, _ = induced_subgraph(g, component)
+    for component in components:
+        sub = g if len(components) == 1 else induced_subgraph(g, component)[0]
         sq = square(sub)
         parts.append((component, sub, sq, *is_chordal(sq)))
-    squares = [sq for _, _, sq, _, _ in parts]
+    non_chordal = [(sq, cert) for _, _, sq, chordal, cert in parts if not chordal]
     within_budget = g.n <= default_verify_budget()
     diagnostics = SquareDiagnostics(
-        chordal=all(chordal for _, _, _, chordal, _ in parts),
-        hole_free=all(find_hole(sq) is None for sq in squares) if within_budget else None,
+        chordal=not non_chordal,
+        hole_free=(
+            all(len(cert.vertices) == 4 and find_hole(sq) is None for sq, cert in non_chordal)
+            if within_budget
+            else None
+        ),
         odd_antihole_free=(
-            all(find_odd_antihole(sq) is None for sq in squares) if within_budget else None
+            all(find_odd_antihole(sq) is None for sq, _ in non_chordal) if within_budget else None
         ),
     )
 

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -27,6 +29,7 @@ from perfcode import (
 from perfcode.solver import efficient_dominating_sets
 
 WEIGHT_RANGES = {"unit": (1, 1), "0..3": (0, 3), "1..20": (1, 20)}
+SOLVE_DIGEST = "e62dd80d39c9d518e14c971a1f2ea8f644672e64f389dcce3f4e4df77c4e7d86"
 
 
 def test_verify_ed_examples():
@@ -140,6 +143,14 @@ def test_diagnostics_match_whole_square(ne_a, ne_b):
     )
 
 
+@given(edge_sets(max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_diagnostics_of_single_graphs_match_whole_square(ne):
+    # covers connected graphs, where solve reads the verdicts off the
+    # chordality certificate of the square itself
+    _assert_diagnostics_of_whole_square(from_edge_list(*ne))
+
+
 @pytest.mark.parametrize(
     "g, expected",
     [
@@ -159,6 +170,95 @@ def test_verify_budget_applies_to_the_whole_graph(monkeypatch):
     monkeypatch.setenv("PERFCODE_VERIFY_BUDGET", "6")
     solution = solve(disjoint_union(cycle_graph(6), cycle_graph(5)))
     assert solution.diagnostics == SquareDiagnostics(False, None, None)
+
+
+def _count_calls(monkeypatch):
+    """Count solve's calls of the searches and of induced_subgraph."""
+    import perfcode.solver
+
+    calls = Counter()
+    for name in ("find_hole", "find_odd_antihole", "induced_subgraph"):
+
+        def counted(*args, _name=name, _original=getattr(perfcode.solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(perfcode.solver, name, counted)
+    return calls
+
+
+def test_chordal_connected_square_runs_no_search_and_no_copy(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    solution = solve(path_graph(10))
+    assert solution.diagnostics == SquareDiagnostics(True, True, True)
+    assert calls == Counter()
+
+
+def test_long_certificate_is_the_hole(monkeypatch):
+    # the square of C9 is certified non-chordal by an induced C5
+    assert is_chordal(square(cycle_graph(9)))[1].kind == "C5"
+    calls = _count_calls(monkeypatch)
+    solution = solve(cycle_graph(9))
+    assert solution.diagnostics == SquareDiagnostics(False, False, True)
+    assert calls == Counter(find_odd_antihole=1)
+
+
+def test_c4_certificate_runs_both_searches(monkeypatch):
+    assert is_chordal(square(cycle_graph(6)))[1].kind == "C4"
+    calls = _count_calls(monkeypatch)
+    solution = solve(disjoint_union(cycle_graph(6), path_graph(3)))
+    assert solution.diagnostics == SquareDiagnostics(False, True, True)
+    assert calls == Counter(find_hole=1, find_odd_antihole=1, induced_subgraph=2)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(8),
+        # found by a seeded search over small connected G(n, p) graphs
+        from_edge_list(
+            8, [(0, 1), (0, 4), (0, 6), (1, 2), (1, 4), (2, 5), (3, 5), (3, 7), (6, 7)]
+        ),
+    ],
+)
+def test_c4_certificate_with_a_hole_elsewhere(g):
+    # the certificate is a C4, so only the hole search sees the C5
+    sq = square(g)
+    assert is_chordal(sq)[1].kind == "C4"
+    assert find_hole(sq).kind == "C5"
+    assert solve(g).diagnostics.hole_free is False
+
+
+def _pinned_solve_inputs(count=1500):
+    """Seeded graphs with n 0..18, connected and disconnected, and weights 0..5."""
+    rng = random.Random(1729)
+    for i in range(count):
+        n = rng.randint(0, 18)
+        pairs = list(combinations(range(n), 2))
+        if i % 3 == 0:  # sparse and connected: a long thin tree plus a few chords
+            edges = {(rng.randint(max(0, v - 3), v - 1), v) for v in range(1, n)}
+            edges |= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 3))))
+        else:  # G(n, p); for i % 3 == 2 no edge crosses the split
+            p = rng.uniform(0.05, 0.6)
+            split = n if i % 3 == 1 else rng.randint(0, n)
+            edges = {(u, v) for u, v in pairs if (u < split) == (v < split) and rng.random() < p}
+        yield from_edge_list(n, sorted(edges)), tuple(rng.randint(0, 5) for _ in range(n))
+
+
+def test_solve_outputs_are_pinned(monkeypatch):
+    """Whole solve results, diagnostics included, on 6,000 calls.
+
+    The digest was recorded at commit fcfc125, before the diagnostics were
+    read off the chordality certificates and before a connected graph
+    stopped being copied.
+    """
+    monkeypatch.delenv("PERFCODE_VERIFY_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    for g, weights in _pinned_solve_inputs():
+        for mode in ("auto", "exact"):
+            for user in (None, weights):
+                digest.update(repr(solve(g, user, mode)).encode() + b"\n")
+    assert digest.hexdigest() == SOLVE_DIGEST
 
 
 def test_forced_chordal_runs_components_in_order():

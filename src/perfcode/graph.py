@@ -1,8 +1,9 @@
 """Immutable simple undirected graphs on dense integer vertex ids.
 
-Vertices are always 0..n-1. Adjacency is kept both as sorted tuples (for
-deterministic iteration) and as integer bitmasks (for fast set algebra);
-all operations are pure and return new graphs.
+Vertices are always 0..n-1. A graph is built from one neighbor bitmask per
+vertex, kept for fast set algebra, and derives sorted neighbor tuples from
+it for deterministic iteration; all operations are pure and return new
+graphs.
 """
 
 from __future__ import annotations
@@ -18,43 +19,41 @@ INFINITY = float("inf")
 
 
 class Graph:
-    """A simple undirected graph: no loops, no multi-edges, ids 0..n-1."""
+    """A simple undirected graph: no loops, no multi-edges, ids 0..n-1.
+
+    ``Graph(n, masks)`` takes one neighbor bitmask per vertex (bit u of
+    masks[v] set iff v~u); :func:`from_edge_list` builds one from edges.
+    """
 
     __slots__ = ("n", "_adj", "_mask", "_closed")
 
-    def __init__(self, n: int, adj: Sequence[Iterable[int]]):
-        """Build from a full adjacency listing; prefer :func:`from_edge_list`.
-
-        The listing must already be symmetric, loop-free and in range;
-        this constructor only normalizes ordering.
-        """
+    def __init__(self, n: int, masks: Sequence[int]):
+        """Check that the masks are in range, loop-free and symmetric."""
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        if len(adj) != n:
-            raise ValueError(f"adjacency has {len(adj)} rows for n={n}")
-        rows = []
-        masks = []
-        closed = []
-        for v in range(n):
-            neighbors = tuple(sorted(set(adj[v])))
-            mask = 0
-            for u in neighbors:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of vertex {v} out of range [0, {n})")
-                mask |= 1 << u
-            rows.append(neighbors)
-            masks.append(mask)
-            closed.append(mask | (1 << v))
+        if len(masks) != n:
+            raise ValueError(f"adjacency has {len(masks)} rows for n={n}")
+        masks = tuple(masks)
+        for v, mask in enumerate(masks):
+            if mask < 0:
+                raise ValueError(f"negative neighbor mask {mask} at vertex {v}")
+            if (mask >> v) & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            if mask >> n:
+                raise ValueError(
+                    f"neighbor {mask.bit_length() - 1} of vertex {v} out of range [0, {n})"
+                )
+        # Stored tuples are built from lists, not generators: CPython grows a
+        # tuple from a generator by resizing it, which raised peak memory.
+        rows = tuple([_mask_to_tuple(mask) for mask in masks])
         for v in range(n):
             for u in rows[v]:
                 if not (masks[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency: {v} lists {u} but not vice versa")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", tuple(rows))
-        object.__setattr__(self, "_mask", tuple(masks))
-        object.__setattr__(self, "_closed", tuple(closed))
+        object.__setattr__(self, "_adj", rows)
+        object.__setattr__(self, "_mask", masks)
+        object.__setattr__(self, "_closed", tuple([m | (1 << v) for v, m in enumerate(masks)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -110,21 +109,21 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     duplicates (in either orientation) are collapsed with a logged warning
     count, since the model is a simple graph.
     """
-    adj: list[set[int]] = [set() for _ in range(n)]
+    masks = [0] * n
     duplicates = 0
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
-        if v in adj[u]:
+        if (masks[u] >> v) & 1:
             duplicates += 1
             continue
-        adj[u].add(v)
-        adj[v].add(u)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     if duplicates:
         logger.warning("collapsed %d duplicate edge(s)", duplicates)
-    return Graph(n, adj)
+    return Graph(n, masks)
 
 
 def distance(g: Graph, u: int, v: int) -> int | float:
@@ -148,14 +147,13 @@ def distance(g: Graph, u: int, v: int) -> int | float:
 
 def square(g: Graph) -> Graph:
     """The square: same vertices, u~v iff their distance in g is 1 or 2."""
-    adj = []
+    masks = []
     for v in range(g.n):
         reach = g.neighbor_mask(v)
         for u in g.neighbors(v):
             reach |= g.neighbor_mask(u)
-        reach &= ~(1 << v)
-        adj.append(_mask_to_list(reach))
-    return Graph(g.n, adj)
+        masks.append(reach & ~(1 << v))
+    return Graph(g.n, masks)
 
 
 def closed_neighborhood_weights(g: Graph) -> tuple[int, ...]:
@@ -166,10 +164,7 @@ def closed_neighborhood_weights(g: Graph) -> tuple[int, ...]:
 def complement(g: Graph) -> Graph:
     """Edge u~v in the output iff u != v and u~v not in g; involutive."""
     full = (1 << g.n) - 1
-    adj = []
-    for v in range(g.n):
-        adj.append(_mask_to_list(full & ~g.neighbor_mask(v) & ~(1 << v)))
-    return Graph(g.n, adj)
+    return Graph(g.n, [full ^ g.closed_mask(v) for v in range(g.n)])
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -182,8 +177,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range [0, {g.n})")
     remap = {old: new for new, old in enumerate(keep)}
-    adj = [[remap[u] for u in g.neighbors(old) if u in remap] for old in keep]
-    return Graph(len(keep), adj), remap
+    masks = [sum(1 << remap[u] for u in g.neighbors(old) if u in remap) for old in keep]
+    return Graph(len(keep), masks), remap
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
@@ -228,17 +223,14 @@ def is_independent_set(g: Graph, vertices: Iterable[int]) -> bool:
 
 # -- small helpers shared across modules ------------------------------------
 
-def _mask_to_list(mask: int) -> list[int]:
+def _mask_to_tuple(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(_mask_to_list(mask))
+    return tuple(out)
 
 
 def cycle_graph(k: int) -> Graph:

@@ -148,6 +148,24 @@ def mwis_exact(g: Graph, weights: Sequence[int]) -> MwisResult:
     return MwisResult(vertices, best_value, "branch-and-bound")
 
 
+def _precedes(sq: Graph, new: int, old: int) -> bool:
+    """True iff independent set `new` precedes `old` among mwis_exact's leaves on sq.
+
+    Both are vertex bitmasks of independent sets of sq, and mwis_exact is
+    assumed to start from every vertex (all weights positive). Walks its
+    branching rule from the root: a pick in both sets is included, a pick
+    in neither is excluded, and the first pick in exactly one set decides,
+    since the include branch is searched first.
+    """
+    remaining = (1 << sq.n) - 1
+    while True:
+        pick = _branch_vertex(sq, remaining)
+        in_new = (new >> pick) & 1
+        if in_new != (old >> pick) & 1:
+            return bool(in_new)
+        remaining &= ~sq.closed_mask(pick) if in_new else ~(1 << pick)
+
+
 def wed_weights(
     g_square: Graph, nbh: Sequence[int], user: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:

@@ -25,9 +25,9 @@ from .graph import (
     square,
 )
 from .mwis import (
-    _branch_vertex,
     _check_weights,
     _chordal_greedy,
+    _precedes,
     mwis_chordal,  # not called here; bench/tracing.py wraps it by this name
     mwis_exact,
     wed_weights,
@@ -156,24 +156,6 @@ def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     for d in efficient_dominating_sets(g):
         return EDSolution(True, d, None, "oracle")
     return EDSolution(False, None, None, "oracle")
-
-
-def _precedes(sq: Graph, new: int, old: int) -> bool:
-    """True iff independent set `new` precedes `old` among mwis_exact's leaves on sq.
-
-    Both are vertex bitmasks of independent sets of sq, and mwis_exact is
-    assumed to start from every vertex (all weights positive). Walks its
-    branching rule from the root: a pick in both sets is included, a pick
-    in neither is excluded, and the first pick in exactly one set decides,
-    since the include branch is searched first.
-    """
-    remaining = (1 << sq.n) - 1
-    while True:
-        pick = _branch_vertex(sq, remaining)
-        in_new = (new >> pick) & 1
-        if in_new != (old >> pick) & 1:
-            return bool(in_new)
-        remaining &= ~sq.closed_mask(pick) if in_new else ~(1 << pick)
 
 
 def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...] | None:

@@ -28,7 +28,7 @@ from .recognition import (
     is_perfect_desk,
     witness_is_valid,
 )
-from .solver import efficient_dominating_sets, verify_ed
+from .solver import DEFAULT_VERIFY_BUDGET, efficient_dominating_sets, verify_ed
 
 THEOREM_IDS = ("T1", "T2", "T3", "C4-dom", "T4", "T5", "CONJ")
 
@@ -70,7 +70,7 @@ class TrialConfig:
     n_range: tuple[int, int] = (7, 14)
     p_range: tuple[float, float] = (0.05, 0.95)
     exhaustive_n: int | None = None
-    budget: int = 30
+    budget: int = DEFAULT_VERIFY_BUDGET
 
     def __post_init__(self):
         if self.theorem not in THEOREM_IDS:
@@ -228,7 +228,7 @@ def _recheck_counterexample(record: dict) -> None:
             raise AssertionError(f"counterexample witness does not verify: {record}")
 
 
-def check_theorem(g: Graph, theorem: str, budget: int = 30) -> TrialVerdict:
+def check_theorem(g: Graph, theorem: str, budget: int = DEFAULT_VERIFY_BUDGET) -> TrialVerdict:
     """One trial: vacuous unless the hypothesis holds, else test the square.
 
     Budget overruns (hole / antihole search on too-large graphs, or

@@ -8,6 +8,7 @@ import bruteforce as bf
 from conftest import edge_sets
 from perfcode import (
     INFINITY,
+    Graph,
     closed_neighborhood_weights,
     complement,
     complete_sun,
@@ -49,6 +50,34 @@ def test_from_edge_list_rejects_self_loops(bad):
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         from_edge_list(3, [(0, 3)])
+
+
+@pytest.mark.parametrize(
+    "n, masks, message",
+    [
+        (3, [0b1000, 0, 0], "neighbor 3 of vertex 0 out of range"),
+        (3, [-2, 0, 0], "negative neighbor mask"),
+        (3, [0, 0b010, 0], "self-loop at vertex 1"),
+        (3, [0b010, 0, 0], "asymmetric adjacency: 0 lists 1"),
+        (3, [0, 0], "2 rows for n=3"),
+        (-1, [], "vertex count must be >= 0"),
+    ],
+)
+def test_graph_rejects_bad_masks(n, masks, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, masks)
+
+
+@given(edge_sets(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_graph_round_trips_through_masks(ne):
+    n, edges = ne
+    g = from_edge_list(n, edges)
+    h = Graph(g.n, [g.neighbor_mask(v) for v in g.vertices()])
+    assert h == g
+    for v in h.vertices():
+        expected = sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
+        assert list(h.neighbors(v)) == expected
 
 
 def test_graph_is_immutable():

@@ -33,6 +33,7 @@ from .recognition import (
     find_odd_antihole,
     find_pattern,
     is_chordal,
+    is_class_member,
     is_perfect_desk,
     is_perfect_elimination_order,
     lexbfs_order,
@@ -87,6 +88,7 @@ __all__ = [
     "is_perfect_elimination_order",
     "lexbfs_order",
     "class_membership",
+    "is_class_member",
     "witness_is_valid",
     "MwisResult",
     "mwis_chordal",

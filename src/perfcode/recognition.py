@@ -394,21 +394,51 @@ def is_perfect_desk(g: Graph) -> tuple[bool, PatternWitness | None]:
     return True, None
 
 
+def _check_class_tag(class_tag: str) -> None:
+    if class_tag not in CLASS_TAGS:
+        raise ValueError(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
+
+
 def class_membership(g: Graph, class_tag: str) -> ClassReport:
     """Membership in one of the supported graph classes, with witnesses.
 
-    Reports at least one witness per violated forbidden pattern; for
-    "chordal" the witness is the certified induced cycle.
+    Searches every forbidden pattern of the class, in listed order (P6,
+    C5, C6, house, domino for (P6,HHD)-free), and reports the least
+    witness of each one that occurs; for "chordal" the witness is the
+    certified induced cycle. :func:`is_class_member` gives the same
+    verdict without witnesses and stops at the first violation.
     """
+    _check_class_tag(class_tag)
     if class_tag == "chordal":
         ok, cert = is_chordal(g)
         violations = () if ok else (cert,)
         return ClassReport(class_tag, ok, violations)
-    if class_tag not in _CLASS_PATTERNS:
-        raise ValueError(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
     violations = []
     for kind in _CLASS_PATTERNS[class_tag]:
         witness = _find_embedding(g, kind)
         if witness is not None:
             violations.append(witness)
     return ClassReport(class_tag, not violations, tuple(violations))
+
+
+#: Each class's patterns, fewest vertices first and ties in listed order:
+#: a small pattern is the cheaper search, and in dense graphs the likelier hit.
+_SEARCH_ORDER = {
+    tag: tuple(sorted(kinds, key=lambda kind: pattern_edges(kind)[0]))
+    for tag, kinds in _CLASS_PATTERNS.items()
+}
+
+
+def is_class_member(g: Graph, class_tag: str) -> bool:
+    """The verdict of ``class_membership(g, class_tag).member``, as a bare bool.
+
+    Stops at the first forbidden embedding found and builds no witness.
+    Patterns are searched fewest vertices first, ties in listed order:
+    C5, house, P6, C6, domino for (P6,HHD)-free; house, P6 for
+    (P6,house)-free; bull, P6 for (P6,bull)-free. "chordal" runs the
+    LexBFS test.
+    """
+    _check_class_tag(class_tag)
+    if class_tag == "chordal":
+        return is_chordal(g)[0]
+    return all(next(_embeddings(g, kind), None) is None for kind in _SEARCH_ORDER[class_tag])

@@ -25,6 +25,7 @@ from .recognition import (
     find_all_odd_antiholes,
     find_hole,
     is_chordal,
+    is_class_member,
     is_perfect_desk,
     witness_is_valid,
 )
@@ -231,12 +232,16 @@ def _recheck_counterexample(record: dict) -> None:
 def check_theorem(g: Graph, theorem: str, budget: int = DEFAULT_VERIFY_BUDGET) -> TrialVerdict:
     """One trial: vacuous unless the hypothesis holds, else test the square.
 
-    Budget overruns (hole / antihole search on too-large graphs, or
-    all-e.d. enumeration beyond the cap) yield an explicit skip verdict.
+    The class hypothesis is a yes/no :func:`is_class_member` test, which
+    stops at the first forbidden pattern found and searches the patterns
+    with the fewest vertices first; only a counterexample's recheck runs
+    the full :func:`class_membership`. Budget overruns (hole / antihole
+    search on too-large graphs, or all-e.d. enumeration beyond the cap)
+    yield an explicit skip verdict.
     """
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-    if not class_membership(g, _THEOREM_CLASS[theorem]).member:
+    if not is_class_member(g, _THEOREM_CLASS[theorem]):
         return TrialVerdict(VACUOUS, informative=False, reason="class")
     eds_iter = efficient_dominating_sets(g)
     first = next(eds_iter, None)

@@ -18,6 +18,7 @@ from perfcode import (
     find_pattern,
     from_edge_list,
     is_chordal,
+    is_class_member,
     is_perfect_desk,
     is_perfect_elimination_order,
     path_graph,
@@ -393,6 +394,17 @@ def test_chordal_class_tag():
 def test_class_membership_rejects_unknown_tag():
     with pytest.raises(ValueError):
         class_membership(path_graph(3), "planar")
+    with pytest.raises(ValueError):
+        is_class_member(path_graph(3), "planar")
+
+
+@given(edge_sets(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_is_class_member_matches_class_membership(ne):
+    g = from_edge_list(*ne)
+    for h in (g, square(g)):
+        for tag in CLASS_TAGS:
+            assert is_class_member(h, tag) == class_membership(h, tag).member
 
 
 @given(edge_sets(max_n=8))

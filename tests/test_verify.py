@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from conftest import disjoint_union
 from perfcode import (
+    THEOREM_IDS,
     TrialConfig,
     check_theorem,
     cycle_graph,
@@ -17,6 +20,7 @@ from perfcode import (
     run_campaign,
     square,
 )
+from perfcode import recognition
 from perfcode.verify import (
     _find_induced_c4s,
     _recheck_counterexample,
@@ -109,6 +113,41 @@ def test_skip_verdicts_over_budget():
     assert check_theorem(big, "T3").status == "skipped"
     assert check_theorem(big, "T2", budget=10).status == "skipped"
     assert check_theorem(big, "T1", budget=10).status == "held"  # polynomial check
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The kinds of the pattern searches the class test runs, in order."""
+    kinds = []
+    embeddings = recognition._embeddings
+
+    def counting(g, kind):
+        kinds.append(kind)
+        return embeddings(g, kind)
+
+    monkeypatch.setattr(recognition, "_embeddings", counting)
+    return kinds
+
+
+def test_class_test_stops_at_the_first_violation(searched):
+    # C5 and P6 side by side: C5 has fewer vertices, so it is searched first
+    verdict = check_theorem(disjoint_union(cycle_graph(5), path_graph(6)), "T1")
+    assert verdict.status == "vacuous" and verdict.reason == "class"
+    assert searched == ["C5"]
+    searched.clear()
+    assert check_theorem(cycle_graph(6), "T1").reason == "class"
+    assert searched == ["C5", "house", "P6", "C6"]
+
+
+def test_class_test_of_a_member_runs_every_pattern_once(searched):
+    assert check_theorem(path_graph(4), "T1").status == "held"
+    assert searched == ["C5", "house", "P6", "C6", "domino"]
+    searched.clear()
+    assert check_theorem(path_graph(4), "T4").status == "held"
+    assert searched == ["house", "P6"]
+    searched.clear()
+    assert check_theorem(path_graph(4), "T5").status == "held"
+    assert searched == ["bull", "P6"]
 
 
 def test_check_theorem_rejects_unknown_id():
@@ -214,3 +253,24 @@ def test_campaign_seed_changes_outcomes():
     a = run_campaign(TrialConfig("T2", seed=1, trials=30, n_range=(7, 10)))
     b = run_campaign(TrialConfig("T2", seed=2, trials=30, n_range=(7, 10)))
     assert (a.held, a.vacuous) != (b.held, b.vacuous)
+
+
+#: SHA-256 over the JSON campaign documents of every theorem, recorded at
+#: commit 4cb3c8c, before check_theorem stopped its class test at the first
+#: forbidden pattern.
+CAMPAIGN_DIGEST = "d9a87341b465b4d2ea9a002967d94c36779ca86cf77285e17b2d9cc52db1b714"
+
+
+def test_campaign_documents_are_pinned():
+    digest = hashlib.sha256()
+    for theorem in THEOREM_IDS:
+        for seed in (1, 7):
+            config = TrialConfig(
+                theorem,
+                seed=seed,
+                trials=40,
+                n_range=(6, 12),
+                exhaustive_n=5 if theorem in ("T1", "C4-dom") else None,
+            )
+            digest.update(json.dumps(run_campaign(config).to_document()).encode())
+    assert digest.hexdigest() == CAMPAIGN_DIGEST

@@ -188,8 +188,6 @@ def _counterexample_1based(record: dict) -> dict:
     for key in ("ed", "overlap", "dominators"):
         if key in out:
             out[key] = _ids_1based(out[key])
-    if "eds" in out:
-        out["eds"] = [_ids_1based(d) for d in out["eds"]]
     if "witness" in out:
         kind, vertices = out["witness"]
         out["witness"] = [kind, _ids_1based(vertices)]

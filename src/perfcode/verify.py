@@ -3,9 +3,12 @@
 Each trial takes one graph, tests the theorem's hypothesis (class
 membership plus existence of an efficient dominating set) and, when it
 holds, evaluates the claimed property of the square. Hypothesis filtering
-uses the exact-cover oracle, never the pipeline under test. Campaigns are
-reproducible: every trial's graph is derived from the master seed by a
-fixed splitting function, independent of execution order.
+uses the exact-cover oracle, never the pipeline under test. Every trial
+runs down one path: a campaign streams its corpus as (graph, origin)
+pairs, :func:`check_theorem` gives each a verdict, and every
+counterexample record is built and re-verified by one helper. Campaigns
+are reproducible: every trial's graph is derived from the master seed by
+a fixed splitting function, independent of execution order.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
@@ -80,7 +84,7 @@ class TrialConfig:
             raise ValueError("a campaign needs random trials or an exhaustive bound")
         if self.trials < 0 or (self.exhaustive_n is not None and self.exhaustive_n < 0):
             raise ValueError("corpus sizes must be nonnegative")
-        if self.trials and not self.n_range[0] <= self.n_range[1]:
+        if self.trials and not 0 <= self.n_range[0] <= self.n_range[1]:
             raise ValueError(f"bad n range {self.n_range}")
         if self.trials and not 0.0 <= self.p_range[0] <= self.p_range[1] <= 1.0:
             raise ValueError(f"bad edge-probability range {self.p_range}")
@@ -201,15 +205,18 @@ def _find_induced_c4s(g: Graph) -> list[tuple[int, int, int, int]]:
     )
 
 
-def _record(g: Graph, theorem: str, detail: dict) -> dict:
+def _counterexample(g: Graph, theorem: str, ed, witness: PatternWitness, **extra) -> TrialVerdict:
+    """The counterexample verdict for `g`, its record rechecked end to end."""
     record = {
         "theorem": theorem,
         "n": g.n,
         "edges": [list(e) for e in g.edges()],
+        "ed": list(ed),
+        "witness": [witness.kind, list(witness.vertices)],
+        **extra,
     }
-    record.update(detail)
     _recheck_counterexample(record)
-    return record
+    return TrialVerdict(COUNTEREXAMPLE, counterexample=record)
 
 
 def _recheck_counterexample(record: dict) -> None:
@@ -217,16 +224,11 @@ def _recheck_counterexample(record: dict) -> None:
     g = from_edge_list(record["n"], [tuple(e) for e in record["edges"]])
     if not class_membership(g, _THEOREM_CLASS[record["theorem"]]).member:
         raise AssertionError(f"counterexample fails its class hypothesis: {record}")
-    for key in ("ed", "eds"):
-        if key in record:
-            sets = [record[key]] if key == "ed" else record[key]
-            for d in sets:
-                if not verify_ed(g, d):
-                    raise AssertionError(f"counterexample carries an invalid e.d.: {record}")
-    if "witness" in record:
-        kind, vertices = record["witness"]
-        if not witness_is_valid(square(g), PatternWitness(kind, tuple(vertices))):
-            raise AssertionError(f"counterexample witness does not verify: {record}")
+    if not verify_ed(g, record["ed"]):
+        raise AssertionError(f"counterexample carries an invalid e.d.: {record}")
+    kind, vertices = record["witness"]
+    if not witness_is_valid(square(g), PatternWitness(kind, tuple(vertices))):
+        raise AssertionError(f"counterexample witness does not verify: {record}")
 
 
 def check_theorem(g: Graph, theorem: str, budget: int = DEFAULT_VERIFY_BUDGET) -> TrialVerdict:
@@ -237,7 +239,9 @@ def check_theorem(g: Graph, theorem: str, budget: int = DEFAULT_VERIFY_BUDGET) -
     with the fewest vertices first; only a counterexample's recheck runs
     the full :func:`class_membership`. Budget overruns (hole / antihole
     search on too-large graphs, or all-e.d. enumeration beyond the cap)
-    yield an explicit skip verdict.
+    yield an explicit skip verdict. T3 and C4-dom quantify over every e.d.;
+    the other theorems get one witness search on the square, where None
+    means the theorem held.
     """
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
@@ -254,116 +258,78 @@ def check_theorem(g: Graph, theorem: str, budget: int = DEFAULT_VERIFY_BUDGET) -
         return TrialVerdict(SKIPPED, informative=False, reason=f"n > budget {budget}")
 
     sq = square(g)
-    if theorem == "T1":
-        chordal, cert = is_chordal(sq)
-        if chordal:
-            return TrialVerdict(HELD)
-        detail = {"ed": list(first), "witness": [cert.kind, list(cert.vertices)]}
-        return TrialVerdict(COUNTEREXAMPLE, counterexample=_record(g, theorem, detail))
-
-    if theorem == "T2":
-        hole = find_hole(sq, min_length=5)
-        if hole is None:
-            return TrialVerdict(HELD)
-        detail = {"ed": list(first), "witness": [hole.kind, list(hole.vertices)]}
-        return TrialVerdict(COUNTEREXAMPLE, counterexample=_record(g, theorem, detail))
-
     if theorem == "T3":
         antiholes = find_all_odd_antiholes(sq)
         if not antiholes:
             return TrialVerdict(HELD, informative=False)
-        all_eds = [first, *eds_iter]
-        for d in all_eds:
+        for d in [first, *eds_iter]:
             for witness in antiholes:
                 overlap = sorted(set(d) & set(witness.vertices))
                 if overlap:
-                    detail = {
-                        "ed": list(d),
-                        "witness": [witness.kind, list(witness.vertices)],
-                        "overlap": overlap,
-                    }
-                    return TrialVerdict(
-                        COUNTEREXAMPLE, counterexample=_record(g, theorem, detail)
-                    )
+                    return _counterexample(g, theorem, d, witness, overlap=overlap)
         return TrialVerdict(HELD)
 
     if theorem == "C4-dom":
         c4s = _find_induced_c4s(sq)
-        all_eds = [first, *eds_iter]
         informative = False
-        for d in all_eds:
-            d_set = set(d)
-            dominator = {}
-            for v in d:
-                for u in (v, *g.neighbors(v)):
-                    dominator[u] = v
+        for d in [first, *eds_iter]:
+            dominator = {u: v for v in d for u in (v, *g.neighbors(v))}
             for cycle in c4s:
-                if d_set & set(cycle):
-                    continue
-                informative = True
-                dominators = sorted({dominator[u] for u in cycle})
-                if len(dominators) > 2:
-                    detail = {
-                        "ed": list(d),
-                        "witness": ["C4", list(cycle)],
-                        "dominators": dominators,
-                    }
-                    return TrialVerdict(
-                        COUNTEREXAMPLE, counterexample=_record(g, theorem, detail)
-                    )
+                if set(d).isdisjoint(cycle):
+                    informative = True
+                    dominators = sorted({dominator[u] for u in cycle})
+                    if len(dominators) > 2:
+                        witness = PatternWitness("C4", cycle)
+                        return _counterexample(g, theorem, d, witness, dominators=dominators)
         return TrialVerdict(HELD, informative=informative)
 
-    # T4, T5, CONJ: the square must be perfect.
-    perfect, witness = is_perfect_desk(sq)
-    if perfect:
+    if theorem == "T1":
+        chordal, cert = is_chordal(sq)
+        witness = None if chordal else cert
+    elif theorem == "T2":
+        witness = find_hole(sq, min_length=5)
+    else:  # T4, T5, CONJ: the square must be perfect.
+        witness = is_perfect_desk(sq)[1]
+    if witness is None:
         return TrialVerdict(HELD)
-    detail = {"ed": list(first), "witness": [witness.kind, list(witness.vertices)]}
-    return TrialVerdict(COUNTEREXAMPLE, counterexample=_record(g, theorem, detail))
+    return _counterexample(g, theorem, first, witness)
 
 
 # -- campaigns ---------------------------------------------------------------
 
-def run_campaign(config: TrialConfig) -> VerificationReport:
-    """Run every trial of a campaign and aggregate the verdicts.
+def _corpus(config: TrialConfig) -> Iterator[tuple[Graph, dict]]:
+    """Every trial graph of a campaign with its origin, in trial order.
 
-    The exhaustive corpus (if any) is enumerated first in its fixed order,
-    followed by the random trials; trial i's graph depends only on the
-    master seed and i. Identical configs produce identical reports apart
-    from wall-clock time, which is excluded from the canonical document.
+    The exhaustive corpus (if any) comes first in its fixed order, followed
+    by the random trials; trial i's graph depends only on the master seed
+    and i.
     """
-    start = time.perf_counter()
-    tallies = {HELD: 0, VACUOUS: 0, SKIPPED: 0}
-    held_trivially = 0
-    counterexamples: list[dict] = []
-    trials = 0
-
-    def absorb(verdict: TrialVerdict, origin: dict) -> None:
-        nonlocal held_trivially, trials
-        trials += 1
-        if verdict.status == COUNTEREXAMPLE:
-            record = dict(verdict.counterexample)
-            record.update(origin)
-            counterexamples.append(record)
-            return
-        tallies[verdict.status] += 1
-        if verdict.status == HELD and not verdict.informative:
-            held_trivially += 1
-
     if config.exhaustive_n is not None:
         for index, g in enumerate(enumerate_all_graphs(config.exhaustive_n)):
-            absorb(
-                check_theorem(g, config.theorem, config.budget),
-                {"corpus": "exhaustive", "index": index},
-            )
+            yield g, {"corpus": "exhaustive", "index": index}
     for i in range(config.trials):
         rng = random.Random(_split_seed(config.seed, i))
         n = rng.randint(config.n_range[0], config.n_range[1])
         p = rng.uniform(config.p_range[0], config.p_range[1])
-        g = _random_graph(n, p, rng)
-        absorb(
-            check_theorem(g, config.theorem, config.budget),
-            {"corpus": "random", "index": i},
-        )
+        yield _random_graph(n, p, rng), {"corpus": "random", "index": i}
+
+
+def run_campaign(config: TrialConfig) -> VerificationReport:
+    """Run every trial of :func:`_corpus` and aggregate the verdicts.
+
+    Identical configs produce identical reports apart from wall-clock time,
+    which is excluded from the canonical document.
+    """
+    start = time.perf_counter()
+    tallies: Counter = Counter()
+    counterexamples: list[dict] = []
+    for g, origin in _corpus(config):
+        verdict = check_theorem(g, config.theorem, config.budget)
+        tallies["trials"] += 1
+        tallies[verdict.status] += 1
+        tallies["held_trivially"] += verdict.status == HELD and not verdict.informative
+        if verdict.status == COUNTEREXAMPLE:
+            counterexamples.append({**verdict.counterexample, **origin})
 
     corpus = {
         "exhaustive_n": config.exhaustive_n,
@@ -376,9 +342,9 @@ def run_campaign(config: TrialConfig) -> VerificationReport:
         seed=config.seed,
         corpus=corpus,
         budget=config.budget,
-        trials=trials,
+        trials=tallies["trials"],
         held=tallies[HELD],
-        held_trivially=held_trivially,
+        held_trivially=tallies["held_trivially"],
         vacuous=tallies[VACUOUS],
         skipped=tallies[SKIPPED],
         counterexamples=tuple(counterexamples),

@@ -1,11 +1,27 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from perfcode import from_edge_list
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_from_checkout(args: list[str]) -> subprocess.CompletedProcess:
+    """Run `python args...` from the repo root with src/ on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, cwd=ROOT, env=env, check=False
+    )
 
 
 @st.composite

@@ -7,13 +7,12 @@ are the wall-clock budgets stated alongside the corpus sizes.
 
 import json
 import random
-import subprocess
-import sys
 import time
 
 import pytest
 
 import bruteforce as bf
+from conftest import run_from_checkout
 from perfcode import (
     TrialConfig,
     closed_neighborhood_weights,
@@ -215,11 +214,7 @@ def test_criterion_8_worked_weighted_cycle():
 
 
 def _run_cli(args: list[str]) -> tuple[int, bytes]:
-    proc = subprocess.run(
-        [sys.executable, "-m", "perfcode.cli", *args],
-        capture_output=True,
-        check=False,
-    )
+    proc = run_from_checkout(["-m", "perfcode.cli", *args])
     return proc.returncode, proc.stdout
 
 

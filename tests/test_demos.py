@@ -1,14 +1,13 @@
 """Every walkthrough in demos/ runs to completion against the source tree."""
 
 import hashlib
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_from_checkout
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 #: SHA-256 of the stdout of demos/03_recognition_witnesses.py, which prints
@@ -17,12 +16,7 @@ RECOGNITION_DEMO_DIGEST = "6d8bc143df6b3ffb4f3be8e011fe8409910f38e624a6248bb75da
 
 
 def _run_demo(path: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    return subprocess.run(
-        [sys.executable, str(path)], capture_output=True, cwd=ROOT, env=env, check=False
-    )
+    return run_from_checkout([str(path)])
 
 
 def test_all_demos_are_found():

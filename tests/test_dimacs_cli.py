@@ -259,6 +259,8 @@ def test_cli_usage_errors_exit_2(capsys):
     # semantically invalid configurations are usage errors too
     assert main(["verify-theorems", "--theorem", "T1"]) == 2  # no corpus at all
     assert main(["verify-theorems", "--theorem", "T2", "--trials", "5", "--nmax", "99"]) == 2
+    assert main(["verify-theorems", "--theorem", "T2", "--trials", "20", "--nmin", "-3",
+                 "--nmax", "5"]) == 2
     assert main(["gen", "--model", "er", "--n", "5", "--p", "1.5"]) == 2
     capsys.readouterr()
 

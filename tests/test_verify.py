@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from perfcode import (
     run_campaign,
     square,
 )
-from perfcode import recognition
+from perfcode import recognition, verify
 from perfcode.verify import (
     _find_induced_c4s,
     _recheck_counterexample,
@@ -187,6 +188,53 @@ def test_t3_trivial_on_c6():
     assert verdict.status == "held" and not verdict.informative
 
 
+_C9_EDGES = "[[0, 1], [0, 8], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8]]"
+
+#: repr of the counterexample verdict of every theorem, with the class
+#: hypothesis forced to hold; recorded at commit 47f8d26, where each
+#: theorem built its own record.
+COUNTEREXAMPLE_VERDICTS = {
+    "T1": "{'theorem': 'T1', 'n': 9, 'edges': " + _C9_EDGES
+    + ", 'ed': [0, 3, 6], 'witness': ['C5', [6, 4, 2, 0, 7]]}",
+    "T2": "{'theorem': 'T2', 'n': 9, 'edges': " + _C9_EDGES
+    + ", 'ed': [0, 3, 6], 'witness': ['C6', [0, 1, 3, 4, 6, 7]]}",
+    "T4": "{'theorem': 'T4', 'n': 9, 'edges': " + _C9_EDGES
+    + ", 'ed': [0, 3, 6], 'witness': ['C5', [0, 1, 3, 5, 7]]}",
+    "T5": "{'theorem': 'T5', 'n': 9, 'edges': " + _C9_EDGES
+    + ", 'ed': [0, 3, 6], 'witness': ['C5', [0, 1, 3, 5, 7]]}",
+    "CONJ": "{'theorem': 'CONJ', 'n': 9, 'edges': " + _C9_EDGES
+    + ", 'ed': [0, 3, 6], 'witness': ['C5', [0, 1, 3, 5, 7]]}",
+    "T3": "{'theorem': 'T3', 'n': 12, 'edges': [[0, 2], [0, 11], [2, 3], [2, 4], [3, 9], "
+    "[4, 7], [5, 7], [5, 10], [9, 10]], 'ed': [0, 1, 6, 7, 8, 9], "
+    "'witness': ['co-C7', [2, 5, 3, 7, 9, 4, 10]], 'overlap': [7, 9]}",
+    "C4-dom": "{'theorem': 'C4-dom', 'n': 9, 'edges': [[0, 5], [0, 7], [1, 2], [1, 4], "
+    "[1, 6], [2, 5], [2, 6], [3, 5], [4, 7], [7, 8]], 'ed': [3, 6, 7], "
+    "'witness': ['C4', [0, 4, 1, 5]], 'dominators': [3, 6, 7]}",
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(COUNTEREXAMPLE_VERDICTS))
+def test_counterexample_records_are_pinned(theorem, monkeypatch):
+    # every graph passes the class test, so the square's property decides
+    monkeypatch.setattr(verify, "is_class_member", lambda g, tag: True)
+    monkeypatch.setattr(verify, "class_membership", lambda g, tag: SimpleNamespace(member=True))
+    if theorem == "T3":  # its square holds the co-C7 2,5,3,7,9,4,10
+        g = from_edge_list(
+            12, [(0, 2), (0, 11), (2, 3), (2, 4), (3, 9), (4, 7), (5, 7), (5, 10), (9, 10)]
+        )
+    elif theorem == "C4-dom":  # the C4 0,4,1,5 of its square has three dominators
+        g = from_edge_list(
+            9, [(0, 5), (0, 7), (1, 2), (1, 4), (1, 6), (2, 5), (2, 6), (3, 5), (4, 7), (7, 8)]
+        )
+    else:
+        g = cycle_graph(9)
+    expected = (
+        "TrialVerdict(status='counterexample', informative=True, "
+        f"counterexample={COUNTEREXAMPLE_VERDICTS[theorem]}, reason=None)"
+    )
+    assert repr(check_theorem(g, theorem)) == expected
+
+
 def test_recheck_accepts_consistent_record_and_rejects_tampering():
     # P4 plus an isolated vertex: in every class, e.d. {0,3,4}, and its
     # square contains the triangle 0,1,2
@@ -220,6 +268,8 @@ def test_trial_config_validation():
         TrialConfig("T2", trials=5, n_range=(7, 40), budget=30)
     with pytest.raises(ValueError, match="probability"):
         TrialConfig("T2", trials=5, p_range=(0.5, 1.5))
+    with pytest.raises(ValueError, match="n range"):
+        TrialConfig("T2", trials=5, n_range=(-3, 5))
 
 
 def test_exhaustive_t1_campaign_holds():

@@ -59,8 +59,8 @@ def parse_dimacs(text: str, source: str = "<string>") -> GraphFile:
                 raise DimacsError(f"line {lineno}: weight line before problem header")
             (v,) = _parse_ids(parts[:2], 1, lineno, n)
             try:
-                w = int(parts[2])
-            except (IndexError, ValueError):
+                (w,) = map(int, parts[2:])  # exactly one integer weight
+            except ValueError:
                 raise DimacsError(f"line {lineno}: expected 'n <v> <w>', got {line!r}") from None
             if w < 0:
                 raise DimacsError(f"line {lineno}: negative weight {w}")

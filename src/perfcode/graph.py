@@ -1,8 +1,8 @@
 """Immutable simple undirected graphs on dense integer vertex ids.
 
-Vertices are always 0..n-1. A graph is built from one neighbor bitmask per
-vertex, kept for fast set algebra, and derives sorted neighbor tuples from
-it for deterministic iteration; all operations are pure and return new
+Vertices are always 0..n-1. A graph keeps one neighbor bitmask per vertex
+and nothing else; sorted neighbor tuples, degrees and edges are derived
+from the masks on each call. All operations are pure and return new
 graphs.
 """
 
@@ -21,11 +21,11 @@ INFINITY = float("inf")
 class Graph:
     """A simple undirected graph: no loops, no multi-edges, ids 0..n-1.
 
-    ``Graph(n, masks)`` takes one neighbor bitmask per vertex (bit u of
+    ``Graph(n, masks)`` keeps one neighbor bitmask per vertex (bit u of
     masks[v] set iff v~u); :func:`from_edge_list` builds one from edges.
     """
 
-    __slots__ = ("n", "_adj", "_mask", "_closed")
+    __slots__ = ("n", "_mask")
 
     def __init__(self, n: int, masks: Sequence[int]):
         """Check that the masks are in range, loop-free and symmetric."""
@@ -43,17 +43,15 @@ class Graph:
                 raise ValueError(
                     f"neighbor {mask.bit_length() - 1} of vertex {v} out of range [0, {n})"
                 )
-        # Stored tuples are built from lists, not generators: CPython grows a
-        # tuple from a generator by resizing it, which raised peak memory.
-        rows = tuple([_mask_to_tuple(mask) for mask in masks])
-        for v in range(n):
-            for u in rows[v]:
+        for v, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
                 if not (masks[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency: {v} lists {u} but not vice versa")
+                mask ^= low
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", rows)
         object.__setattr__(self, "_mask", masks)
-        object.__setattr__(self, "_closed", tuple([m | (1 << v) for v, m in enumerate(masks)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -62,10 +60,10 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted open neighborhood of v."""
-        return self._adj[v]
+        return _mask_to_tuple(self._mask[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._mask[v].bit_count()
 
     def adjacent(self, u: int, v: int) -> bool:
         return (self._mask[u] >> v) & 1 == 1
@@ -76,27 +74,26 @@ class Graph:
 
     def closed_mask(self, v: int) -> int:
         """Closed neighborhood N[v] as a bitmask."""
-        return self._closed[v]
+        return self._mask[v] | (1 << v)
 
     def vertices(self) -> range:
         return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending lexicographic order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if v > u:
-                    yield (u, v)
+        for u, mask in enumerate(self._mask):
+            for v in _mask_to_tuple(mask >> u << u):
+                yield (u, v)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self._adj) // 2
+        return sum(mask.bit_count() for mask in self._mask) // 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+        return isinstance(other, Graph) and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash(self._mask)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -147,11 +144,14 @@ def distance(g: Graph, u: int, v: int) -> int | float:
 
 def square(g: Graph) -> Graph:
     """The square: same vertices, u~v iff their distance in g is 1 or 2."""
+    nbr = g.neighbor_mask
     masks = []
     for v in range(g.n):
-        reach = g.neighbor_mask(v)
-        for u in g.neighbors(v):
-            reach |= g.neighbor_mask(u)
+        reach = rest = nbr(v)
+        while rest:
+            low = rest & -rest
+            reach |= nbr(low.bit_length() - 1)
+            rest ^= low
         masks.append(reach & ~(1 << v))
     return Graph(g.n, masks)
 
@@ -191,14 +191,12 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
-        mask = 1 << start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if not (mask >> y) & 1:
-                    mask |= 1 << y
-                    stack.append(y)
+        mask = frontier = 1 << start
+        while frontier:
+            low = frontier & -frontier
+            fresh = g.neighbor_mask(low.bit_length() - 1) & ~mask
+            mask |= fresh
+            frontier = (frontier ^ low) | fresh
         seen |= mask
         components.append(_mask_to_tuple(mask))
     return components

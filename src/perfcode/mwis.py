@@ -50,19 +50,17 @@ def mwis_chordal(g: Graph, weights: Sequence[int], peo: Sequence[int]) -> MwisRe
 
 def _chordal_greedy(g: Graph, w: Sequence[int], peo: Sequence[int]) -> MwisResult:
     """The two passes of :func:`mwis_chordal` on an already certified order."""
-    position = [0] * g.n
-    for i, v in enumerate(peo):
-        position[v] = i
     residual = list(w)
     marked: list[int] = []
+    later = (1 << g.n) - 1
     for v in peo:
-        if residual[v] <= 0:
+        later ^= 1 << v
+        r = residual[v]
+        if r <= 0:
             continue
         marked.append(v)
-        r = residual[v]
-        for u in g.neighbors(v):
-            if position[u] > position[v]:
-                residual[u] -= r
+        for u in _mask_to_tuple(g.neighbor_mask(v) & later):
+            residual[u] -= r
     chosen_mask = 0
     for v in reversed(marked):
         if not g.neighbor_mask(v) & chosen_mask:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph, complement
+from .graph import Graph, _mask_to_tuple, complement
 
 CLASS_TAGS = ("(P6,HHD)-free", "(P6,house)-free", "(P6,bull)-free", "P6-free", "chordal")
 
@@ -260,11 +260,11 @@ def _cycle_from_triple(g: Graph, v: int, u: int, w: int) -> PatternWitness | Non
                 x = parent[x]
             path.reverse()
             return PatternWitness(f"C{len(path) + 1}", (v, *path))
-        for y in g.neighbors(x):
-            if not (seen >> y) & 1:
-                seen |= 1 << y
-                parent[y] = x
-                queue.append(y)
+        fresh = g.neighbor_mask(x) & ~seen
+        seen |= fresh
+        for y in _mask_to_tuple(fresh):
+            parent[y] = x
+            queue.append(y)
     return None
 
 
@@ -298,22 +298,24 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
     ascending order; all cycle vertices beyond the anchor must exceed it,
     an extension may see only the current endpoint, and a cycle closes
     when the new vertex also sees the anchor. Each hole is closed twice,
-    once per orientation. The search runs on an explicit stack of
-    (neighbor iterator, interior mask) frames, one per path vertex after
-    the anchor, so path length is not bounded by recursion. The paths are
-    induced, so the only path vertices the endpoint sees are the anchor
-    (if the path has two vertices) and its predecessor.
+    once per orientation. The search runs on an explicit stack of (neighbor
+    iterator, interior mask) frames, one per path vertex after the anchor,
+    so path length is not bounded by recursion; the neighbor rows are built
+    once per call. The paths are induced, so the only path vertices the
+    endpoint sees are the anchor (if the path has two vertices) and its
+    predecessor.
     """
     if parity not in ("any", "odd"):
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
     nbr = g.neighbor_mask
+    rows = [g.neighbors(v) for v in range(g.n)]
     for anchor in range(g.n):
         anchor_nb = nbr(anchor)
-        for v2 in g.neighbors(anchor):
+        for v2 in rows[anchor]:
             if v2 < anchor:
                 continue
             path = [anchor, v2]
-            stack = [(iter(g.neighbors(v2)), 0)]
+            stack = [(iter(rows[v2]), 0)]
             while stack:
                 neighbors, mid_mask = stack[-1]
                 for x in neighbors:
@@ -324,7 +326,7 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
                         if length >= min_length and (parity == "any" or length % 2 == 1):
                             yield (*path, x)
                         continue  # sees the anchor: usable only as a closing vertex
-                    stack.append((iter(g.neighbors(x)), mid_mask | (1 << path[-1])))
+                    stack.append((iter(rows[x]), mid_mask | (1 << path[-1])))
                     path.append(x)
                     break
                 else:

@@ -163,7 +163,8 @@ def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...
 
     Weighted exact cover of the closed neighborhoods, depth-first on an
     explicit stack: branch on the uncovered vertex with the fewest
-    candidates (closed neighbors whose own closed neighborhood is still
+    candidates (closed neighbors outside the closed neighborhood in `sq` of
+    every chosen vertex, i.e. whose own closed neighborhood is still
     uncovered; the scan stops at the first with 0 or 1), candidates in
     ascending id, pruning nodes heavier than the best e.d. so far. Ties on
     user weight go to the set that mwis_exact meets first (see
@@ -171,33 +172,33 @@ def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...
     :func:`wed_weights` every e.d. outscores every other independent set of
     the square, and each independent set is exactly one leaf of its search.
     """
-    n = sub.n
-    closed = [sub.closed_mask(v) for v in range(n)]
-    members = [_mask_to_tuple(m) for m in closed]
-    full = (1 << n) - 1
+    closed = [sub.closed_mask(v) for v in range(sub.n)]
+    full = (1 << sub.n) - 1
     best_weight = -1
     best = 0
-    stack = [(0, 0, 0)]  # (covered, chosen, weight)
+    stack = [(0, full, 0, 0)]  # (covered, usable, chosen, weight)
     while stack:
-        covered, chosen, weight = stack.pop()
+        covered, usable, chosen, weight = stack.pop()
         if best_weight >= 0 and weight > best_weight:
             continue
         if covered == full:
             if best_weight < 0 or weight < best_weight or _precedes(sq, chosen, best):
                 best_weight, best = weight, chosen
             continue
-        fewest = None
+        fewest = sub.n + 1
         rest = full ^ covered
         while rest:
             low = rest & -rest
-            cands = [c for c in members[low.bit_length() - 1] if not closed[c] & covered]
-            if fewest is None or len(cands) < len(fewest):
-                fewest = cands
-                if len(cands) <= 1:
+            cands = closed[low.bit_length() - 1] & usable
+            count = cands.bit_count()
+            if count < fewest:
+                fewest, pick = count, cands
+                if count <= 1:
                     break
             rest ^= low
-        for c in reversed(fewest):
-            stack.append((covered | closed[c], chosen | (1 << c), weight + user[c]))
+        for c in reversed(_mask_to_tuple(pick)):
+            covers, blocks = closed[c], sq.closed_mask(c)
+            stack.append((covered | covers, usable & ~blocks, chosen | (1 << c), weight + user[c]))
     return _mask_to_tuple(best) if best_weight >= 0 else None
 
 

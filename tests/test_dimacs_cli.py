@@ -43,6 +43,7 @@ def test_parse_comments_and_blanks():
         ("p graph 3 0\n", "line 1: expected 'p edge"),
         ("e 1 2\n", "line 1: edge before problem header"),
         ("p edge 2 0\nn 1 -3\n", "line 2: negative weight"),
+        ("p edge 2 1\ne 1 2\nn 1 5 7\n", "line 3: expected 'n <v> <w>'"),
         ("p edge 2 0\nq 1\n", "unknown line type"),
         ("c nothing\n", "missing 'p edge"),
         ("p edge 2 0\np edge 2 0\n", "line 2: duplicate problem header"),

@@ -80,6 +80,26 @@ def test_graph_round_trips_through_masks(ne):
         assert list(h.neighbors(v)) == expected
 
 
+@given(edge_sets(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_accessors_match_edge_list(ne):
+    n, edges = ne
+    g = from_edge_list(n, edges)
+    adj = bf.adjacency(n, edges)
+    for v in range(n):
+        assert g.neighbors(v) == tuple(sorted(adj[v]))
+        assert g.degree(v) == len(adj[v])
+        assert g.closed_mask(v) == sum(1 << u for u in adj[v] | {v})
+        assert [g.adjacent(v, u) for u in range(n)] == [u in adj[v] for u in range(n)]
+    assert list(g.edges()) == sorted((min(e), max(e)) for e in edges)
+    assert g.edge_count == len(edges)
+    dist = bf.distance_matrix(n, edges)
+    reach = {tuple(u for u in range(n) if dist[v][u] != INFINITY) for v in range(n)}
+    assert connected_components(g) == sorted(reach)
+    h = from_edge_list(n, [(v, u) for u, v in reversed(edges)])
+    assert h == g and hash(h) == hash(g)
+
+
 def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):

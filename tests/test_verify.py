@@ -182,6 +182,14 @@ def test_c4dom_informative_on_c6():
     assert verdict.status == "held" and verdict.informative
 
 
+def test_c4dom_skips_c4s_that_meet_the_ed():
+    # both e.d.s, (1, 4) and (2, 5), meet the square's only induced C4,
+    # (1, 2, 4, 5), so no C4 is tested and the trial is not informative
+    g = from_edge_list(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+    verdict = check_theorem(g, "C4-dom")
+    assert verdict.status == "held" and verdict.informative is False
+
+
 def test_t3_trivial_on_c6():
     # square has only 6 vertices, too small for an odd antihole
     verdict = check_theorem(cycle_graph(6), "T3")

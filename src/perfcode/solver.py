@@ -6,8 +6,9 @@ chordal runs the chordal greedy; any other runs a weighted exact cover of
 the closed neighborhoods (each one a clique of the square, met exactly once
 by an e.d.), which returns the same set as the exact MWIS branch-and-bound
 that ``mode="exact"`` keeps as the reference route. A separate exact-cover
-backtracker, :func:`efficient_dominating_sets`, serves the independent
-oracle; it shares no code with the pipeline.
+search on an explicit stack, :func:`efficient_dominating_sets`, serves the
+independent oracle; it reads candidates off closed neighborhoods and never
+touches the square, so it shares no code with the pipeline.
 """
 
 from __future__ import annotations
@@ -101,39 +102,41 @@ def verify_ed(g: Graph, candidate: Sequence[int]) -> bool:
 def efficient_dominating_sets(g: Graph) -> Iterator[tuple[int, ...]]:
     """All efficient dominating sets, via exact cover on closed neighborhoods.
 
-    Backtracking: repeatedly pick the uncovered vertex with the fewest
-    usable dominators and branch on them in ascending order; each solution
-    is produced exactly once. Internal building block for the oracle and
-    the theorem checks, not part of the solving pipeline.
+    Depth-first on an explicit stack of (covered, chosen) masks. At each
+    node, scan the uncovered vertices in ascending id; the candidates of an
+    uncovered u are the members v of N[u] with N[v] still wholly uncovered.
+    Branch on the first u with the fewest candidates, in ascending order;
+    the scan stops at the first u with 0 or 1. Each solution is produced
+    exactly once. Internal building block for the oracle and the theorem
+    checks, not part of the solving pipeline.
+
+    The yield order is that of the search that scans every uncovered vertex
+    and returns at the first with none. Stopping at 0 or 1 picks the same u,
+    except when a later vertex w has no candidate: then neither search
+    yields below the node, since the candidates of w only shrink as more
+    is covered, so w is never covered.
     """
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    closed = [g.closed_mask(v) for v in range(n)]
-    full = (1 << n) - 1
-    chosen: list[int] = []
-
-    def backtrack(covered: int) -> Iterator[tuple[int, ...]]:
+    closed = [g.closed_mask(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    stack = [(0, 0)]  # (covered, chosen)
+    while stack:
+        covered, chosen = stack.pop()
         if covered == full:
-            yield tuple(sorted(chosen))
-            return
-        best_u = -1
-        best_cands: list[int] | None = None
-        for u in range(n):
-            if (covered >> u) & 1:
-                continue
-            cands = [v for v in range(n) if (closed[v] >> u) & 1 and not closed[v] & covered]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_u, best_cands = u, cands
-                if not cands:
-                    return
-        for v in best_cands:
-            chosen.append(v)
-            yield from backtrack(covered | closed[v])
-            chosen.pop()
-
-    yield from backtrack(0)
+            yield _mask_to_tuple(chosen)
+            continue
+        pick: list[int] | None = None
+        rest = full ^ covered
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            cands = [v for v in _mask_to_tuple(closed[u]) if not closed[v] & covered]
+            if pick is None or len(cands) < len(pick):
+                pick = cands
+                if len(cands) <= 1:
+                    break
+            rest ^= low
+        for v in reversed(pick):
+            stack.append((covered | closed[v], chosen | (1 << v)))
 
 
 def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
@@ -143,19 +146,15 @@ def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     weights, enumerates all of them and keeps the first one attaining the
     minimum user weight. Independent of the square/MWIS pipeline.
     """
-    if user is not None:
-        user = _check_weights(g, user)
-        best: tuple[int, tuple[int, ...]] | None = None
-        for d in efficient_dominating_sets(g):
-            weight = sum(user[v] for v in d)
-            if best is None or weight < best[0]:
-                best = (weight, d)
-        if best is None:
-            return EDSolution(False, None, None, "oracle")
-        return EDSolution(True, best[1], best[0], "oracle")
+    weights = _check_weights(g, user) if user is not None else None
+    best = EDSolution(False, None, None, "oracle")
     for d in efficient_dominating_sets(g):
-        return EDSolution(True, d, None, "oracle")
-    return EDSolution(False, None, None, "oracle")
+        if weights is None:
+            return EDSolution(True, d, None, "oracle")
+        weight = sum(weights[v] for v in d)
+        if not best.exists or weight < best.user_weight:
+            best = EDSolution(True, d, weight, "oracle")
+    return best
 
 
 def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...] | None:

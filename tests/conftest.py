@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from perfcode import from_edge_list
@@ -22,6 +24,20 @@ def run_from_checkout(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], capture_output=True, cwd=ROOT, env=env, check=False
     )
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test, rather than hang the suite, past 60 s of wall clock."""
+
+    def expired(signum, frame):
+        pytest.fail("test ran past its 60 s wall-clock limit")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

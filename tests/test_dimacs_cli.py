@@ -278,10 +278,21 @@ def test_cli_parse_error_exit_1(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
-def test_cli_force_path(c6_file, capsys):
-    code = main(["solve", str(c6_file), "--force-path", "oracle"])
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize(
+    "g, weights, chosen",
+    [
+        pytest.param(cycle_graph(6), (1, 2, 3, 4, 5, 6), "set: 1 4\n", id="c6"),
+        # the unique e.d. of P3000 is every third vertex from the second
+        pytest.param(path_graph(3000), None, "set: 2 5 8 ", id="p3000"),
+    ],
+)
+def test_cli_force_path(tmp_path, capsys, g, weights, chosen):
+    path = tmp_path / "g.col"
+    path.write_text(write_dimacs(g, weights))
+    code = main(["solve", str(path), "--force-path", "oracle"])
     out = capsys.readouterr().out
-    assert code == 0 and "path: oracle" in out
+    assert code == 0 and "path: oracle" in out and chosen in out
 
 
 def test_cli_verify_counterexample_exit_code(monkeypatch, capsys):

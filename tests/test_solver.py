@@ -30,6 +30,7 @@ from perfcode.solver import efficient_dominating_sets
 
 WEIGHT_RANGES = {"unit": (1, 1), "0..3": (0, 3), "1..20": (1, 20)}
 SOLVE_DIGEST = "e62dd80d39c9d518e14c971a1f2ea8f644672e64f389dcce3f4e4df77c4e7d86"
+ORACLE_DIGEST = "c11fc9ac3ae4aadf037561bb0ee456665939b942f43576fb8a50751c6428b211"
 
 
 def test_verify_ed_examples():
@@ -94,6 +95,11 @@ def test_solve_empty_graph():
     assert solution.exists and solution.vertices == ()
     solution = solve(from_edge_list(0, []), ())
     assert solution.exists and solution.user_weight == 0
+    solution = solve(from_edge_list(0, []), mode="oracle")
+    assert solution.exists and solution.vertices == () and solution.path == "oracle"
+    solution = solve(from_edge_list(0, []), (), mode="oracle")
+    assert solution.exists and solution.vertices == () and solution.user_weight == 0
+    assert list(efficient_dominating_sets(from_edge_list(0, []))) == [()]
 
 
 def test_solve_weight_length_mismatch():
@@ -259,6 +265,20 @@ def test_solve_outputs_are_pinned(monkeypatch):
             for user in (None, weights):
                 digest.update(repr(solve(g, user, mode)).encode() + b"\n")
     assert digest.hexdigest() == SOLVE_DIGEST
+
+
+def test_oracle_outputs_are_pinned():
+    """Every e.d. in enumeration order, and oracle_ed with and without weights.
+
+    The digest was recorded at commit 27c4187, while the enumeration still
+    recursed. The T3 and C4-dom campaign documents depend on this order.
+    """
+    digest = hashlib.sha256()
+    for g, weights in _pinned_solve_inputs():
+        digest.update(repr(list(efficient_dominating_sets(g))).encode() + b"\n")
+        for user in (None, weights):
+            digest.update(repr(oracle_ed(g, user)).encode() + b"\n")
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 def test_forced_chordal_runs_components_in_order():
@@ -431,14 +451,25 @@ def test_planted_graphs_match_the_oracle(seed):
                 assert verify_ed(h, via_pipeline.vertices)
 
 
-@pytest.mark.parametrize("n, exists", [(3000, True), (3001, False)])
-def test_long_cycles_need_no_recursion(n, exists):
-    solution = solve(cycle_graph(n))
-    assert solution.exists is exists and solution.path == "exact-fallback"
-    if exists:
-        assert solution.vertices == tuple(range(0, n, 3))
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize(
+    "make, n, path, expected",
+    [
+        pytest.param(cycle_graph, 3000, "exact-fallback", tuple(range(0, 3000, 3)), id="3000-True"),
+        pytest.param(cycle_graph, 3001, "exact-fallback", None, id="3001-False"),
+        # the unique e.d. of a path on 3k vertices
+        pytest.param(path_graph, 3000, "chordal-square", tuple(range(1, 3000, 3)), id="path-3000"),
+    ],
+)
+def test_long_cycles_need_no_recursion(make, n, path, expected):
+    g = make(n)
+    solution = solve(g)
+    assert solution.vertices == expected and solution.path == path
+    for solution in (oracle_ed(g), solve(g, mode="oracle")):
+        assert solution.vertices == expected and solution.path == "oracle"
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_mwis_exact_needs_no_recursion():
     result = mwis_exact(from_edge_list(1500, []), [1] * 1500)
     assert result.vertices == tuple(range(1500)) and result.value == 1500

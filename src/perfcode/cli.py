@@ -18,7 +18,7 @@ from pathlib import Path
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import square
 from .recognition import CLASS_TAGS, class_membership
-from .solver import BUDGET_ENV_VAR, default_verify_budget, solve
+from .solver import BUDGET_ENV_VAR, DEFAULT_VERIFY_BUDGET, default_verify_budget, solve
 from .verify import THEOREM_IDS, TrialConfig, gen_random_chordal, gen_random_graph, run_campaign
 
 EXIT_OK = 0
@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help=f"max n for exponential searches (default: ${BUDGET_ENV_VAR} or 30)",
+        help="max n for exponential searches "
+        f"(default: ${BUDGET_ENV_VAR} or {DEFAULT_VERIFY_BUDGET})",
     )
     p_verify.add_argument("--json", action="store_true")
 

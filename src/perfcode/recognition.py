@@ -2,9 +2,10 @@
 
 Patterns are identified by kind strings: fixed shapes ("P6", "C4", "house",
 "domino", "bull", ...), general cycles ("Ck" for any k >= 3) and antiholes
-("co-Ck", the complement of a k-cycle). Every search returns an ordered
-witness whose induced adjacency realizes the pattern under that order, or
-None; searches are deterministic (ascending-id enumeration throughout).
+("co-Ck", the complement of a k-cycle), each built as a :class:`Graph` by
+:func:`pattern_graph`. Every search returns an ordered witness whose induced
+adjacency realizes the pattern under that order, or None; searches are
+deterministic (ascending-id enumeration throughout).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph, _mask_to_tuple, complement
+from .graph import Graph, _mask_to_tuple, complement, cycle_graph, from_edge_list, path_graph
 
 CLASS_TAGS = ("(P6,HHD)-free", "(P6,house)-free", "(P6,bull)-free", "P6-free", "chordal")
 
@@ -49,54 +50,44 @@ class ClassReport:
     violations: tuple[PatternWitness, ...]
 
 
-def pattern_edges(kind: str) -> tuple[int, frozenset[frozenset[int]]]:
-    """Vertex count and edge set of a named pattern on ids 0..k-1."""
+def pattern_graph(kind: str) -> Graph:
+    """A named pattern as a graph on ids 0..k-1, in witness order."""
     if kind.startswith("P") and kind[1:].isdigit():
         k = int(kind[1:])
         if k < 1:
             raise ValueError(f"bad path pattern {kind!r}")
-        return k, frozenset(frozenset((i, i + 1)) for i in range(k - 1))
+        return path_graph(k)
     if kind.startswith("C") and kind[1:].isdigit():
         k = int(kind[1:])
         if k < 3:
             raise ValueError(f"bad cycle pattern {kind!r}")
-        return k, frozenset(frozenset((i, (i + 1) % k)) for i in range(k))
+        return cycle_graph(k)
     if kind.startswith("co-C") and kind[4:].isdigit():
         k = int(kind[4:])
         if k < 5:
             raise ValueError(f"bad antihole pattern {kind!r}")
-        cycle = {frozenset((i, (i + 1) % k)) for i in range(k)}
-        return k, frozenset(
-            frozenset(p) for p in combinations(range(k), 2) if frozenset(p) not in cycle
-        )
+        return complement(cycle_graph(k))
     if kind == "house":
-        # complement of the path 0-1-2-3-4
-        return 5, frozenset(
-            frozenset(p) for p in [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]
-        )
+        return complement(path_graph(5))
     if kind == "domino":
         # path 0-1-2-3-4 plus a vertex 5 seeing 0, 2 and 4
-        return 6, frozenset(
-            frozenset(p) for p in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (2, 5), (4, 5)]
-        )
+        return from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (2, 5), (4, 5)])
     if kind == "bull":
         # triangle 0-1-2 with pendants 3 at 0 and 4 at 1
-        return 5, frozenset(frozenset(p) for p in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+        return from_edge_list(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
     raise ValueError(f"unknown pattern kind {kind!r}")
 
 
 def witness_is_valid(g: Graph, witness: PatternWitness) -> bool:
     """Direct adjacency-table check that the witness realizes its pattern."""
-    k, edges = pattern_edges(witness.kind)
-    verts = witness.vertices
-    if len(verts) != k or len(set(verts)) != k:
+    pattern = pattern_graph(witness.kind)
+    k, verts = pattern.n, witness.vertices
+    if len(verts) != k or len(set(verts)) != k or any(not 0 <= v < g.n for v in verts):
         return False
-    if any(not 0 <= v < g.n for v in verts):
-        return False
-    for i, j in combinations(range(k), 2):
-        if g.adjacent(verts[i], verts[j]) != (frozenset((i, j)) in edges):
-            return False
-    return True
+    return all(
+        g.adjacent(verts[i], verts[j]) == pattern.adjacent(i, j)
+        for i, j in combinations(range(k), 2)
+    )
 
 
 @lru_cache(maxsize=32)
@@ -105,10 +96,9 @@ def _constraint_table(kind: str) -> tuple[tuple[tuple[int, bool], ...], ...]:
 
     Bounded, because callers choose the kinds (any path or cycle length).
     """
-    k, edges = pattern_edges(kind)
-    return tuple(
-        tuple((p, frozenset((i, p)) in edges) for p in range(i + 1, k)) for i in range(k)
-    )
+    pattern = pattern_graph(kind)
+    k = pattern.n
+    return tuple(tuple((p, pattern.adjacent(i, p)) for p in range(i + 1, k)) for i in range(k))
 
 
 def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
@@ -158,8 +148,8 @@ def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
             i += 1
 
 
-def _find_embedding(g: Graph, kind: str) -> PatternWitness | None:
-    """Lexicographically least induced embedding of a fixed pattern, if any.
+def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
+    """Least induced embedding of any kind :func:`pattern_graph` builds, or None.
 
     The first embedding :func:`_embeddings` yields.
     """
@@ -171,16 +161,7 @@ def find_induced_path(g: Graph, k: int) -> PatternWitness | None:
     """Least induced P_k witness (vertices in path order), or None."""
     if k < 1:
         raise ValueError(f"path length must be >= 1, got {k}")
-    return _find_embedding(g, f"P{k}")
-
-
-def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
-    """Induced occurrence of a fixed small pattern, or None.
-
-    Supported kinds: "house", "domino", "bull", "C4" (and the other
-    fixed shapes understood by :func:`pattern_edges`).
-    """
-    return _find_embedding(g, kind)
+    return find_pattern(g, f"P{k}")
 
 
 # -- chordality ---------------------------------------------------------------
@@ -292,18 +273,21 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
 # -- holes and antiholes ------------------------------------------------------
 
 def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int, ...]]:
-    """Every induced cycle of length >= min_length closed by the DFS, in order.
+    """Every induced cycle of length >= min_length, once each, in DFS order.
 
     Depth-first extension of induced paths anchored at each vertex in
     ascending order; all cycle vertices beyond the anchor must exceed it,
-    an extension may see only the current endpoint, and a cycle closes
-    when the new vertex also sees the anchor. Each hole is closed twice,
-    once per orientation. The search runs on an explicit stack of (neighbor
-    iterator, interior mask) frames, one per path vertex after the anchor,
-    so path length is not bounded by recursion; the neighbor rows are built
-    once per call. The paths are induced, so the only path vertices the
-    endpoint sees are the anchor (if the path has two vertices) and its
-    predecessor.
+    an extension may see only the current endpoint, and a cycle closes when
+    the new vertex x sees the anchor and exceeds the second vertex, so each
+    hole comes out once. The first cycle is the one closing both directions
+    would give: were it (a, p1, ..., pk, x) with x < p1, the DFS would meet
+    its reverse (a, x, pk, ..., p1) earlier, under second vertex x, and that
+    passes the same tests (vertices above a, an induced path seen by a only
+    at its ends, the same length and parity). The search keeps one (neighbor
+    iterator, interior mask) frame per path vertex after the anchor on an
+    explicit stack, so path length is not bounded by recursion. The paths
+    are induced, so the endpoint sees only the anchor (on a two-vertex
+    path) and its predecessor.
     """
     if parity not in ("any", "odd"):
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
@@ -323,7 +307,7 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
                         continue
                     if (anchor_nb >> x) & 1:
                         length = len(path) + 1
-                        if length >= min_length and (parity == "any" or length % 2 == 1):
+                        if x > path[1] and length >= min_length and (parity == "any" or length % 2):
                             yield (*path, x)
                         continue  # sees the anchor: usable only as a closing vertex
                     stack.append((iter(rows[x]), mid_mask | (1 << path[-1])))
@@ -350,11 +334,7 @@ def find_all_holes(g: Graph, parity: str = "any", min_length: int = 5) -> list[P
     vertex the smaller of the anchor's two cycle neighbors. Exponential in
     the worst case; intended for verification corpora.
     """
-    return [
-        PatternWitness(f"C{len(cycle)}", cycle)
-        for cycle in _hole_closings(g, parity, min_length)
-        if cycle[1] < cycle[-1]
-    ]
+    return [PatternWitness(f"C{len(c)}", c) for c in _hole_closings(g, parity, min_length)]
 
 
 def _co_witness(witness: PatternWitness) -> PatternWitness:
@@ -413,20 +393,16 @@ def class_membership(g: Graph, class_tag: str) -> ClassReport:
     _check_class_tag(class_tag)
     if class_tag == "chordal":
         ok, cert = is_chordal(g)
-        violations = () if ok else (cert,)
-        return ClassReport(class_tag, ok, violations)
-    violations = []
-    for kind in _CLASS_PATTERNS[class_tag]:
-        witness = _find_embedding(g, kind)
-        if witness is not None:
-            violations.append(witness)
-    return ClassReport(class_tag, not violations, tuple(violations))
+        return ClassReport(class_tag, ok, () if ok else (cert,))
+    found = (find_pattern(g, kind) for kind in _CLASS_PATTERNS[class_tag])
+    violations = tuple(w for w in found if w is not None)
+    return ClassReport(class_tag, not violations, violations)
 
 
 #: Each class's patterns, fewest vertices first and ties in listed order:
 #: a small pattern is the cheaper search, and in dense graphs the likelier hit.
 _SEARCH_ORDER = {
-    tag: tuple(sorted(kinds, key=lambda kind: pattern_edges(kind)[0]))
+    tag: tuple(sorted(kinds, key=lambda kind: pattern_graph(kind).n))
     for tag, kinds in _CLASS_PATTERNS.items()
 }
 
@@ -434,7 +410,7 @@ _SEARCH_ORDER = {
 def is_class_member(g: Graph, class_tag: str) -> bool:
     """The verdict of ``class_membership(g, class_tag).member``, as a bare bool.
 
-    Stops at the first forbidden embedding found and builds no witness.
+    Stops at the first forbidden pattern found.
     Patterns are searched fewest vertices first, ties in listed order:
     C5, house, P6, C6, domino for (P6,HHD)-free; house, P6 for
     (P6,house)-free; bull, P6 for (P6,bull)-free. "chordal" runs the
@@ -443,4 +419,4 @@ def is_class_member(g: Graph, class_tag: str) -> bool:
     _check_class_tag(class_tag)
     if class_tag == "chordal":
         return is_chordal(g)[0]
-    return all(next(_embeddings(g, kind), None) is None for kind in _SEARCH_ORDER[class_tag])
+    return all(find_pattern(g, kind) is None for kind in _SEARCH_ORDER[class_tag])

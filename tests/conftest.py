@@ -58,6 +58,21 @@ def disjoint_union(*graphs):
     return from_edge_list(offset, edges)
 
 
+def g_k(k: int):
+    """A hub 0 with a pendant leaf 1, and k copies of C6 each joined to the hub.
+
+    Every e.d. holds the leaf and, in each C6, one of the two antipodal
+    pairs that avoid the vertex joined to the hub. So the 6k + 2 vertices
+    have 2^k e.d.s, all of 2k + 1 vertices, and the square is not chordal.
+    """
+    edges = [(0, 1)]
+    for i in range(k):
+        base = 2 + 6 * i
+        edges.append((0, base))
+        edges += [(base + j, base + (j + 1) % 6) for j in range(6)]
+    return from_edge_list(6 * k + 2, edges)
+
+
 def planted_ed_graph(n: int, rng: random.Random):
     """A graph with a planted efficient dominating set, and that set.
 

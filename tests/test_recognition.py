@@ -31,17 +31,49 @@ from perfcode.recognition import (
     _embeddings,
     find_all_holes,
     find_all_odd_antiholes,
-    pattern_edges,
+    pattern_graph,
 )
 from perfcode.verify import _find_induced_c4s
 
 
-def build(kind):
-    k, edges = pattern_edges(kind)
-    return from_edge_list(k, [tuple(e) for e in edges])
+def pattern_set(kind):
+    """A pattern's vertex count and edge set, in the brute-force format."""
+    pattern = pattern_graph(kind)
+    return pattern.n, {frozenset(e) for e in pattern.edges()}
 
 
 # -- fixed patterns -----------------------------------------------------------
+
+def co(k, edges):
+    """The complement of an edge set on 0..k-1."""
+    return {frozenset(p) for p in combinations(range(k), 2)} - edges
+
+
+EXPECTED_PATTERNS = {
+    "P1": (1, bf.path_pattern(1)),
+    "P6": (6, bf.path_pattern(6)),
+    "C3": (3, bf.cycle_pattern(3)),
+    "C5": (5, bf.cycle_pattern(5)),
+    "C6": (6, bf.cycle_pattern(6)),
+    "co-C5": (5, co(5, bf.cycle_pattern(5))),
+    "co-C7": (7, co(7, bf.cycle_pattern(7))),
+    "co-C9": (9, co(9, bf.cycle_pattern(9))),
+    "house": (5, co(5, bf.path_pattern(5))),
+    "domino": (6, {frozenset(e) for e in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (2, 5), (4, 5)]}),
+    "bull": (5, {frozenset(e) for e in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]}),
+}
+
+
+@pytest.mark.parametrize("kind", EXPECTED_PATTERNS)
+def test_pattern_definitions(kind):
+    assert pattern_set(kind) == EXPECTED_PATTERNS[kind]
+
+
+@pytest.mark.parametrize("kind", ["P0", "C2", "co-C4", "pentagon"])
+def test_pattern_graph_rejects_bad_kinds(kind):
+    with pytest.raises(ValueError):
+        pattern_graph(kind)
+
 
 def test_find_induced_path_in_p6_itself():
     w = find_induced_path(path_graph(6), 6)
@@ -60,7 +92,7 @@ def test_induced_paths_of_c6():
 
 
 def test_find_pattern_house_in_house():
-    house = build("house")
+    house = pattern_graph("house")
     w = find_pattern(house, "house")
     assert w is not None and witness_is_valid(house, w)
 
@@ -83,7 +115,7 @@ def test_find_pattern_rejects_unknown_kind():
 
 @pytest.mark.parametrize("kind", ["P6", "C4", "C5", "C6", "house", "domino", "bull", "co-C7"])
 def test_each_pattern_found_in_itself(kind):
-    g = build(kind)
+    g = pattern_graph(kind)
     w = (find_pattern if not kind.startswith("co-") else lambda g, k: find_odd_antihole(g))(
         g, kind
     )
@@ -98,9 +130,9 @@ def test_pattern_searches_agree_with_brute_force(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
     for kind in ("P6", "C4", "C5", "house", "domino", "bull"):
-        k, pat = pattern_edges(kind)
+        k, pat = pattern_set(kind)
         found = find_pattern(g, kind)
-        assert (found is not None) == bf.has_induced(n, edges, k, set(pat))
+        assert (found is not None) == bf.has_induced(n, edges, k, pat)
         if found is not None:
             assert witness_is_valid(g, found)
 
@@ -111,13 +143,11 @@ def test_find_pattern_returns_least_embedding(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
     for kind in ("P4", "P6", "C4", "C5", "house", "domino", "bull"):
-        k, pat = pattern_edges(kind)
+        k, pat = pattern_set(kind)
         found = find_pattern(g, kind)
-        assert (None if found is None else found.vertices) == bf.least_induced(
-            n, edges, k, set(pat)
-        )
-    k, pat = pattern_edges("C4")
-    assert list(_embeddings(g, "C4")) == list(bf.induced_embeddings(n, edges, k, set(pat)))
+        assert (None if found is None else found.vertices) == bf.least_induced(n, edges, k, pat)
+    k, pat = pattern_set("C4")
+    assert list(_embeddings(g, "C4")) == list(bf.induced_embeddings(n, edges, k, pat))
 
 
 EMBEDDING_DIGEST = "fa7b3a56cc20c23940231d5cc305f183019a913bb552122d6bec0148136756cf"
@@ -253,6 +283,7 @@ def test_hole_search_with_min_length_four():
     assert find_all_holes(cycle_graph(4), min_length=4) == [c4]
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_hole_searches_on_long_cycles():
     whole = PatternWitness("C3000", tuple(range(3000)))
     assert find_hole(cycle_graph(3000)) == whole
@@ -319,6 +350,14 @@ def test_find_all_holes_matches_subset_enumeration(ne):
                 if len(seen) == size:
                     expected.add(frozenset(combo))
     assert hole_sets == expected
+    # find_hole's witness is the first hole find_all_holes lists, in its
+    # orientation: second vertex below the last.
+    for parity in ("any", "odd"):
+        for min_length in range(3, 8):
+            holes = find_all_holes(g, parity, min_length)
+            first = find_hole(g, parity, min_length)
+            assert first == (holes[0] if holes else None)
+            assert first is None or first.vertices[1] < first.vertices[-1]
 
 
 @given(edge_sets(max_n=9))
@@ -414,14 +453,8 @@ def test_p6_hhd_free_matches_exhaustive_pattern_search(ne):
     g = from_edge_list(n, edges)
     report = class_membership(g, "(P6,HHD)-free")
     expected = not any(
-        bf.has_induced(n, edges, k, set(pat))
-        for k, pat in [
-            pattern_edges("P6"),
-            pattern_edges("C5"),
-            pattern_edges("C6"),
-            pattern_edges("house"),
-            pattern_edges("domino"),
-        ]
+        bf.has_induced(n, edges, *pattern_set(kind))
+        for kind in ("P6", "C5", "C6", "house", "domino")
     )
     assert report.member == expected
     assert report.member == (not report.violations)

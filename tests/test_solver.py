@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import disjoint_union, edge_sets, planted_ed_graph
+from conftest import disjoint_union, edge_sets, g_k, planted_ed_graph
 from perfcode import (
     closed_neighborhood_weights,
     complete_sun,
@@ -378,6 +378,16 @@ def test_solve_oracle_differential_midsize(seed):
         if via_pipeline.exists:
             assert verify_ed(g, via_pipeline.vertices)
             assert via_pipeline.user_weight == via_oracle.user_weight
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_many_tied_optima_keep_the_exact_answer(k):
+    g = g_k(k)
+    assert sum(1 for _ in efficient_dominating_sets(g)) == 2**k
+    assert not is_chordal(square(g))[0]
+    assert solve(g) == solve(g, mode="exact")
+    unit = [1] * g.n
+    assert solve(g, unit) == solve(g, unit, mode="exact")
 
 
 def test_oracle_solutions_enumerated_once():

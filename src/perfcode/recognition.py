@@ -272,8 +272,62 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
 
 # -- holes and antiholes ------------------------------------------------------
 
+def _has_hole(g: Graph) -> bool:
+    """True iff the graph has a hole (an induced cycle of length >= 5).
+
+    Polynomial, O(m * (n + m)) bitmask steps. A hole exists iff some edge bc
+    has a in N(b) \\ N[c] and d in N(c) \\ N[b], with a and d nonadjacent,
+    that both touch one component of G - (N[b] | N[c]): a shortest a-d path
+    through that component closes the induced cycle b-a-...-d-c, and any
+    four consecutive vertices of a hole give such an induced P4 a-b-c-d.
+    (Nikolopoulos and Palios, "Hole and antihole detection in graphs", SODA
+    2004, reach O(n + m^2).) Each edge is tried once, b < c; its components
+    are labelled by bitmask BFS, ORing each one's neighbors into `touch`.
+    """
+    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    for b in range(g.n):
+        closed_b = nbr[b] | (1 << b)
+        later = nbr[b] >> (b + 1) << (b + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            c = low.bit_length() - 1
+            closed_c = nbr[c] | low
+            ends_a = nbr[b] & ~closed_c
+            ends_d = nbr[c] & ~closed_b
+            if not ends_a or not ends_d:
+                continue
+            rest = full & ~(closed_b | closed_c)
+            while rest:
+                frontier = rest & -rest
+                rest ^= frontier
+                touch = 0
+                while frontier:
+                    reach = 0
+                    while frontier:
+                        lf = frontier & -frontier
+                        frontier ^= lf
+                        reach |= nbr[lf.bit_length() - 1]
+                    touch |= reach
+                    frontier = reach & rest
+                    rest ^= frontier
+                side_a, side_d = touch & ends_a, touch & ends_d
+                while side_a and side_d:
+                    la = side_a & -side_a
+                    if side_d & ~nbr[la.bit_length() - 1]:
+                        return True
+                    side_a ^= la
+    return False
+
+
 def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int, ...]]:
     """Every induced cycle of length >= min_length, once each, in DFS order.
+
+    When min_length >= 5, the polynomial test :func:`_has_hole` runs first,
+    and a graph without a hole yields nothing at once; the exponential DFS
+    below runs only on a graph that has a hole, to produce the witnesses.
+    (At min_length 4 a C4 counts, which that test does not see.)
 
     Depth-first extension of induced paths anchored at each vertex in
     ascending order; all cycle vertices beyond the anchor must exceed it,
@@ -291,6 +345,8 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
     """
     if parity not in ("any", "odd"):
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
+    if min_length >= 5 and not _has_hole(g):
+        return
     nbr = g.neighbor_mask
     rows = [g.neighbors(v) for v in range(g.n)]
     for anchor in range(g.n):
@@ -322,6 +378,9 @@ def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitn
     """First induced cycle of length >= min_length (odd only if parity="odd").
 
     The first cycle closed by the depth-first search of :func:`_hole_closings`.
+    For min_length >= 5 the verdict "no hole" is polynomial (:func:`_has_hole`),
+    and the exhaustive DFS runs only on a graph with a hole, to produce the
+    witness.
     """
     cycle = next(_hole_closings(g, parity, min_length), None)
     return None if cycle is None else PatternWitness(f"C{len(cycle)}", cycle)
@@ -345,7 +404,9 @@ def find_odd_antihole(g: Graph) -> PatternWitness | None:
     """Induced complement of an odd cycle of length >= 7, or None.
 
     Searched as an odd hole of length >= 7 in the complement; C5 is its own
-    complement and is classed as an odd hole, not an antihole.
+    complement and is classed as an odd hole, not an antihole. The polynomial
+    hole test runs on the complement first, so the exhaustive DFS runs only
+    when the complement has a hole (an antihole of any length >= 5 in g).
     """
     if g.n < 7:
         return None
@@ -364,8 +425,11 @@ def is_perfect_desk(g: Graph) -> tuple[bool, PatternWitness | None]:
     """Perfection via the strong perfect graph theorem, by direct search.
 
     True iff the graph has no odd hole (length >= 5) and no odd antihole
-    (length >= 7); on False the violating witness is returned. Exponential
-    worst case, intended for desk-scale verification.
+    (length >= 7); on False the violating witness is returned. A graph with
+    no hole, or whose complement has none, is cleared of that half in
+    polynomial time; the exhaustive DFS runs only on a graph (or complement)
+    with a hole, where it is exponential in the worst case. Intended for
+    desk-scale verification.
     """
     hole = find_hole(g, parity="odd", min_length=5)
     if hole is not None:

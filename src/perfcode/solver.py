@@ -9,6 +9,12 @@ that ``mode="exact"`` keeps as the reference route. A separate exact-cover
 search on an explicit stack, :func:`efficient_dominating_sets`, serves the
 independent oracle; it reads candidates off closed neighborhoods and never
 touches the square, so it shares no code with the pipeline.
+
+The square diagnostics that come with a solution are polynomial up to the
+odd-antihole fallback: whether a square has a hole is decided by the
+polynomial test in front of every hole search, whose exhaustive DFS runs
+only to produce a witness, and the odd-antihole DFS runs only when the
+complement of the square has a hole.
 """
 
 from __future__ import annotations
@@ -35,8 +41,9 @@ from .mwis import (
 )
 from .recognition import find_hole, find_odd_antihole, is_chordal
 
-#: Environment variable overriding the default max n for the exponential
-#: hole / odd-antihole diagnostics run by solve().
+#: Environment variable overriding the default max n for the hole /
+#: odd-antihole diagnostics run by solve() (the odd-antihole search is
+#: exponential when the complement of a square has a hole).
 BUDGET_ENV_VAR = "PERFCODE_VERIFY_BUDGET"
 DEFAULT_VERIFY_BUDGET = 30
 
@@ -61,7 +68,11 @@ class SquareDiagnostics:
     chordality certificate. A chordal square has no induced cycle of
     length >= 4, so no hole; nor an odd antihole, since every co-C_k with
     k >= 6 holds an induced C4. A certificate C_k with k >= 5 is itself a
-    hole. Only a C4 certificate leaves both searches to run.
+    hole. Only a C4 certificate leaves both searches to run. There, the
+    hole verdict is polynomial: :func:`find_hole` first runs a polynomial
+    hole test, and its DFS runs only on a square with a hole, to produce a
+    witness. :func:`find_odd_antihole` runs the same test on the square's
+    complement, so its DFS runs only when the complement has a hole.
     """
 
     chordal: bool
@@ -222,15 +233,17 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     diagnostics are read off the component squares: the square of a
     disjoint union is the disjoint union of the squares, and holes and
     antiholes are connected, so each verdict on the whole square is the AND
-    of the per-component ones. Chordality is always reported; the
-    exponential hole / odd-antihole verdicts are skipped (None) when the
-    whole graph's n is above the verification budget
+    of the per-component ones. Chordality is always reported; the hole /
+    odd-antihole verdicts are skipped (None) when the whole graph's n is
+    above the verification budget
     (PERFCODE_VERIFY_BUDGET, default 30). Within it, a component's verdicts
     come off its chordality certificate where they can (see
     :class:`SquareDiagnostics`): a chordal square is hole-free and
     odd-antihole-free, and a C_{>=5} certificate is a hole; otherwise
-    :func:`find_hole` / :func:`find_odd_antihole` search the square. A
-    connected graph is its own component and is not copied.
+    :func:`find_hole` / :func:`find_odd_antihole` search the square. The
+    hole verdict is polynomial, and the exhaustive DFS behind either search
+    runs only when the square (or its complement) has a hole, to produce a
+    witness. A connected graph is its own component and is not copied.
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")

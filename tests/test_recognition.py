@@ -29,6 +29,7 @@ from perfcode import (
 from perfcode.recognition import (
     CLASS_TAGS,
     _embeddings,
+    _has_hole,
     find_all_holes,
     find_all_odd_antiholes,
     pattern_graph,
@@ -281,6 +282,52 @@ def test_hole_search_with_min_length_four():
     c4 = PatternWitness("C4", (0, 1, 2, 3))
     assert find_hole(cycle_graph(4), min_length=4) == c4
     assert find_all_holes(cycle_graph(4), min_length=4) == [c4]
+
+
+PETERSEN = from_edge_list(
+    10, [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(i + 5, (i + 2) % 5 + 5) for i in range(5)],
+)
+
+HOLE_TABLE = {
+    "C4": (cycle_graph(4), False),
+    "C5": (cycle_graph(5), True),
+    "C6": (cycle_graph(6), True),
+    "C9": (cycle_graph(9), True),
+    "house": (pattern_graph("house"), False),
+    "domino": (pattern_graph("domino"), False),  # two C4s sharing an edge
+    "bull": (pattern_graph("bull"), False),
+    "co-C7": (pattern_graph("co-C7"), False),  # an antihole's cycles are C4s
+    "co-C9": (pattern_graph("co-C9"), False),
+    "octahedron": (square(cycle_graph(6)), False),
+    "K3,3": (from_edge_list(6, [(i, j) for i in range(3) for j in range(3, 6)]), False),
+    "Petersen": (PETERSEN, True),  # girth 5
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLE_TABLE))
+def test_has_hole_on_named_graphs(name):
+    g, expected = HOLE_TABLE[name]
+    assert _has_hole(g) == expected
+    assert (find_hole(g) is not None) == expected
+
+
+@given(edge_sets(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_has_hole_matches_brute_force(ne):
+    n, edges = ne
+    g = from_edge_list(n, edges)
+    for h in (g, square(g), complement(g)):
+        lengths = bf.induced_cycle_lengths(h.n, list(h.edges()))
+        assert _has_hole(h) == any(k >= 5 for k in lengths)
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_hole_free_squares_skip_the_search():
+    """Sparse squares have hole-free complements, so no DFS runs on them."""
+    assert find_odd_antihole(square(cycle_graph(400))) is None
+    assert find_all_odd_antiholes(square(cycle_graph(200))) == []
 
 
 @pytest.mark.usefixtures("time_limit")

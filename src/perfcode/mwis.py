@@ -50,6 +50,7 @@ def mwis_chordal(g: Graph, weights: Sequence[int], peo: Sequence[int]) -> MwisRe
 
 def _chordal_greedy(g: Graph, w: Sequence[int], peo: Sequence[int]) -> MwisResult:
     """The two passes of :func:`mwis_chordal` on an already certified order."""
+    nbr = g.masks
     residual = list(w)
     marked: list[int] = []
     later = (1 << g.n) - 1
@@ -59,11 +60,11 @@ def _chordal_greedy(g: Graph, w: Sequence[int], peo: Sequence[int]) -> MwisResul
         if r <= 0:
             continue
         marked.append(v)
-        for u in _mask_to_tuple(g.neighbor_mask(v) & later):
+        for u in _mask_to_tuple(nbr[v] & later):
             residual[u] -= r
     chosen_mask = 0
     for v in reversed(marked):
-        if not g.neighbor_mask(v) & chosen_mask:
+        if not nbr[v] & chosen_mask:
             chosen_mask |= 1 << v
     vertices = _mask_to_tuple(chosen_mask)
     return MwisResult(vertices, sum(w[v] for v in vertices), "chordal-greedy")
@@ -75,13 +76,14 @@ def _clique_cover_bound(g: Graph, remaining: int, w: Sequence[int]) -> int:
     Cliques are seeded at the smallest uncovered vertex and grown by
     ascending id; any independent set takes at most one vertex per clique.
     """
+    nbr = g.masks
     bound = 0
     uncovered = remaining
     while uncovered:
         low = uncovered & -uncovered
         seed = low.bit_length() - 1
         clique_best = w[seed]
-        common = g.neighbor_mask(seed) & uncovered
+        common = nbr[seed] & uncovered
         uncovered ^= low
         while common:
             lo = common & -common
@@ -89,20 +91,21 @@ def _clique_cover_bound(g: Graph, remaining: int, w: Sequence[int]) -> int:
             if w[x] > clique_best:
                 clique_best = w[x]
             uncovered &= ~lo
-            common &= g.neighbor_mask(x)
+            common &= nbr[x]
         bound += clique_best
     return bound
 
 
 def _branch_vertex(g: Graph, remaining: int) -> int:
     """Where :func:`mwis_exact` branches: highest degree in g[remaining], least id on ties."""
+    nbr = g.masks
     pick = -1
     pick_deg = -1
     m = remaining
     while m:
         low = m & -m
         v = low.bit_length() - 1
-        deg = (g.neighbor_mask(v) & remaining).bit_count()
+        deg = (nbr[v] & remaining).bit_count()
         if deg > pick_deg:
             pick_deg = deg
             pick = v

@@ -116,7 +116,7 @@ def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
     k = len(table)
     if g.n < k:
         return
-    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    masks = g.masks
     full = (1 << g.n) - 1
     at = [0] * k
     # cands[i][p]: candidates for position p given the placements before i;
@@ -169,40 +169,83 @@ def find_induced_path(g: Graph, k: int) -> PatternWitness | None:
 def lexbfs_order(g: Graph) -> tuple[int, ...]:
     """LexBFS visit order; ties broken by smallest id.
 
-    Partition refinement on bitmask cells: repeatedly visit the smallest
-    id in the first cell and split every cell into (neighbors,
-    non-neighbors), in that order.
+    Partition refinement (Habib, McConnell, Paul and Viennot, "Lex-BFS and
+    partition refinement", TCS 2000): the unvisited vertices sit in an
+    ordered linked list of cells, each a bitmask, and every vertex knows
+    its cell. Each step visits the smallest id in the first cell and splits
+    every cell that holds an unvisited neighbor of it into (neighbors,
+    non-neighbors), in that order. Only the touched cells are visited: each
+    one is found from its least remaining neighbor, which also clears all
+    of its neighbors at once. A split moves the smaller part to a new cell,
+    so a step costs O(degree) bitmask operations and the whole order
+    O(n + m) of them.
     """
-    cells = [(1 << g.n) - 1] if g.n else []
+    n = g.n
+    nbr = g.masks
+    # Cell c holds the vertices in members[c]; the list runs from head
+    # along nxt[c] (and back along prv[c]), -1 ending it. Ids are not reused.
+    members = [(1 << n) - 1] if n else []
+    nxt, prv = [-1], [-1]
+    cell_of = [0] * n
+    head = 0 if n else -1
+    unvisited = (1 << n) - 1
     order = []
-    while cells:
-        first = cells[0]
-        low = first & -first
-        v = low.bit_length() - 1
+    while head >= 0:
+        first = members[head] & -members[head]
+        members[head] ^= first
+        unvisited ^= first
+        v = first.bit_length() - 1
         order.append(v)
-        cells[0] = first ^ low
-        nb = g.neighbor_mask(v)
-        refined = []
-        for cell in cells:
-            hits = cell & nb
-            if hits:
-                refined.append(hits)
-            if cell ^ hits:
-                refined.append(cell ^ hits)
-        cells = refined
+        if not members[head]:
+            head = nxt[head]
+            if head >= 0:
+                prv[head] = -1
+        nb = nbr[v] & unvisited
+        if nb == unvisited:
+            continue  # v sees every unvisited vertex: no cell splits
+        while nb:
+            c = cell_of[(nb & -nb).bit_length() - 1]
+            hits = members[c] & nb
+            nb ^= hits
+            rest = members[c] ^ hits
+            if not rest:
+                continue
+            # The new cell k goes next to c and takes the smaller part:
+            # the hits just before c, or the rest just after it.
+            k = len(members)
+            if hits.bit_count() <= rest.bit_count():
+                moved, members[c] = hits, rest
+                before, after = prv[c], c
+            else:
+                moved, members[c] = rest, hits
+                before, after = c, nxt[c]
+            members.append(moved)
+            nxt.append(after)
+            prv.append(before)
+            if before >= 0:
+                nxt[before] = k
+            else:
+                head = k
+            if after >= 0:
+                prv[after] = k
+            while moved:
+                low = moved & -moved
+                moved ^= low
+                cell_of[low.bit_length() - 1] = k
     return tuple(order)
 
 
 def _peo_violations(g: Graph, order: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
     """Each (v, u, w), u < w, where u and w are nonadjacent later neighbors of v."""
+    nbr = g.masks
     later = 0
     for v in reversed(order):
-        rn = g.neighbor_mask(v) & later
+        rn = nbr[v] & later
         m = rn
         while m:
             low = m & -m
             u = low.bit_length() - 1
-            bad = rn & ~g.neighbor_mask(u) & ~low
+            bad = rn & ~nbr[u] & ~low
             while bad:
                 lb = bad & -bad
                 w = lb.bit_length() - 1
@@ -228,7 +271,8 @@ def _cycle_from_triple(g: Graph, v: int, u: int, w: int) -> PatternWitness | Non
     induced, and no interior vertex sees v, so closing through v gives a
     chordless cycle.
     """
-    banned = g.closed_mask(v) & ~(1 << u) & ~(1 << w)
+    nbr = g.masks
+    banned = (nbr[v] | (1 << v)) & ~(1 << u) & ~(1 << w)
     parent = {u: None}
     seen = banned | (1 << u)
     queue = deque([u])
@@ -241,7 +285,7 @@ def _cycle_from_triple(g: Graph, v: int, u: int, w: int) -> PatternWitness | Non
                 x = parent[x]
             path.reverse()
             return PatternWitness(f"C{len(path) + 1}", (v, *path))
-        fresh = g.neighbor_mask(x) & ~seen
+        fresh = nbr[x] & ~seen
         seen |= fresh
         for y in _mask_to_tuple(fresh):
             parent[y] = x
@@ -284,7 +328,7 @@ def _has_hole(g: Graph) -> bool:
     2004, reach O(n + m^2).) Each edge is tried once, b < c; its components
     are labelled by bitmask BFS, ORing each one's neighbors into `touch`.
     """
-    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    nbr = g.masks
     full = (1 << g.n) - 1
     for b in range(g.n):
         closed_b = nbr[b] | (1 << b)
@@ -347,10 +391,10 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
     if min_length >= 5 and not _has_hole(g):
         return
-    nbr = g.neighbor_mask
+    nbr = g.masks
     rows = [g.neighbors(v) for v in range(g.n)]
     for anchor in range(g.n):
-        anchor_nb = nbr(anchor)
+        anchor_nb = nbr[anchor]
         for v2 in rows[anchor]:
             if v2 < anchor:
                 continue
@@ -359,7 +403,7 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
             while stack:
                 neighbors, mid_mask = stack[-1]
                 for x in neighbors:
-                    if x <= anchor or x == path[-2] or nbr(x) & mid_mask:
+                    if x <= anchor or x == path[-2] or nbr[x] & mid_mask:
                         continue
                     if (anchor_nb >> x) & 1:
                         length = len(path) + 1

@@ -12,9 +12,8 @@ touches the square, so it shares no code with the pipeline.
 
 The square diagnostics that come with a solution are polynomial up to the
 odd-antihole fallback: whether a square has a hole is decided by the
-polynomial test in front of every hole search, whose exhaustive DFS runs
-only to produce a witness, and the odd-antihole DFS runs only when the
-complement of the square has a hole.
+polynomial hole test alone, with no witness built, and the odd-antihole
+DFS runs only when the complement of the square has a hole.
 """
 
 from __future__ import annotations
@@ -39,7 +38,12 @@ from .mwis import (
     mwis_exact,
     wed_weights,
 )
-from .recognition import find_hole, find_odd_antihole, is_chordal
+from .recognition import (
+    _has_hole,
+    find_hole,  # not called here; bench/tracing.py wraps it by this name
+    find_odd_antihole,
+    is_chordal,
+)
 
 #: Environment variable overriding the default max n for the hole /
 #: odd-antihole diagnostics run by solve() (the odd-antihole search is
@@ -68,11 +72,11 @@ class SquareDiagnostics:
     chordality certificate. A chordal square has no induced cycle of
     length >= 4, so no hole; nor an odd antihole, since every co-C_k with
     k >= 6 holds an induced C4. A certificate C_k with k >= 5 is itself a
-    hole. Only a C4 certificate leaves both searches to run. There, the
-    hole verdict is polynomial: :func:`find_hole` first runs a polynomial
-    hole test, and its DFS runs only on a square with a hole, to produce a
-    witness. :func:`find_odd_antihole` runs the same test on the square's
-    complement, so its DFS runs only when the complement has a hole.
+    hole. Only a C4 certificate leaves both verdicts open. There, the hole
+    verdict comes from the polynomial hole test alone (no witness is
+    needed, so no hole DFS runs), and :func:`find_odd_antihole` runs the
+    same test on the square's complement, so its DFS runs only when the
+    complement has a hole.
     """
 
     chordal: bool
@@ -182,7 +186,8 @@ def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...
     :func:`wed_weights` every e.d. outscores every other independent set of
     the square, and each independent set is exactly one leaf of its search.
     """
-    closed = [sub.closed_mask(v) for v in range(sub.n)]
+    closed = [mask | (1 << v) for v, mask in enumerate(sub.masks)]
+    blocks = [mask | (1 << v) for v, mask in enumerate(sq.masks)]
     full = (1 << sub.n) - 1
     best_weight = -1
     best = 0
@@ -207,8 +212,9 @@ def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...
                     break
             rest ^= low
         for c in reversed(_mask_to_tuple(pick)):
-            covers, blocks = closed[c], sq.closed_mask(c)
-            stack.append((covered | covers, usable & ~blocks, chosen | (1 << c), weight + user[c]))
+            stack.append(
+                (covered | closed[c], usable & ~blocks[c], chosen | (1 << c), weight + user[c])
+            )
     return _mask_to_tuple(best) if best_weight >= 0 else None
 
 
@@ -239,11 +245,11 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     (PERFCODE_VERIFY_BUDGET, default 30). Within it, a component's verdicts
     come off its chordality certificate where they can (see
     :class:`SquareDiagnostics`): a chordal square is hole-free and
-    odd-antihole-free, and a C_{>=5} certificate is a hole; otherwise
-    :func:`find_hole` / :func:`find_odd_antihole` search the square. The
-    hole verdict is polynomial, and the exhaustive DFS behind either search
-    runs only when the square (or its complement) has a hole, to produce a
-    witness. A connected graph is its own component and is not copied.
+    odd-antihole-free, and a C_{>=5} certificate is a hole; otherwise the
+    polynomial hole test decides the hole verdict and
+    :func:`find_odd_antihole` searches the square, whose exhaustive DFS
+    runs only when the square's complement has a hole. A connected graph
+    is its own component and is not copied.
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
@@ -263,7 +269,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     diagnostics = SquareDiagnostics(
         chordal=not non_chordal,
         hole_free=(
-            all(len(cert.vertices) == 4 and find_hole(sq) is None for sq, cert in non_chordal)
+            all(len(cert.vertices) == 4 and not _has_hole(sq) for sq, cert in non_chordal)
             if within_budget
             else None
         ),

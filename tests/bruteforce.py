@@ -18,6 +18,25 @@ def adjacency(n: int, edges) -> list[set[int]]:
     return adj
 
 
+def lexbfs_labels(n: int, edges) -> tuple[int, ...]:
+    """Textbook LexBFS: the i-th visit appends n - i to each unvisited neighbor's label.
+
+    Each step visits the unvisited vertex with the lexicographically largest
+    label, least id on ties.
+    """
+    adj = adjacency(n, edges)
+    labels = [[] for _ in range(n)]
+    unvisited = set(range(n))
+    order = []
+    for i in range(n):
+        v = max(sorted(unvisited), key=lambda u: labels[u])  # first maximum: least id
+        order.append(v)
+        unvisited.remove(v)
+        for u in adj[v] & unvisited:
+            labels[u].append(n - i)
+    return tuple(order)
+
+
 def distance_matrix(n: int, edges) -> list[list[float]]:
     """All-pairs shortest paths by Floyd-Warshall."""
     inf = float("inf")

@@ -74,7 +74,7 @@ def test_graph_round_trips_through_masks(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
     h = Graph(g.n, [g.neighbor_mask(v) for v in g.vertices()])
-    assert h == g
+    assert h == g and h.masks == g.masks
     for v in h.vertices():
         expected = sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
         assert list(h.neighbors(v)) == expected
@@ -100,10 +100,30 @@ def test_accessors_match_edge_list(ne):
     assert h == g and hash(h) == hash(g)
 
 
+def test_from_edge_list_rejects_negative_n():
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        from_edge_list(-1, [])
+
+
+@given(edge_sets(max_n=12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_derived_graphs_pass_the_checked_constructor(ne, data):
+    """The graphs built without checks are exactly what Graph(n, masks) accepts."""
+    n, edges = ne
+    g = from_edge_list(n, edges)
+    doubled = from_edge_list(n, [*edges, *((v, u) for u, v in edges)])
+    keep = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    for h in (g, doubled, square(g), complement(g), induced_subgraph(g, keep)[0]):
+        assert isinstance(h.masks, tuple)
+        assert Graph(h.n, h.masks) == h
+
+
 def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):
         g.n = 5
+    with pytest.raises(AttributeError):
+        g.masks = (0, 0, 0)
 
 
 def test_distance_on_path():

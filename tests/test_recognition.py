@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from conftest import edge_sets
@@ -17,11 +18,15 @@ from perfcode import (
     find_odd_antihole,
     find_pattern,
     from_edge_list,
+    gen_random_chordal,
     is_chordal,
     is_class_member,
     is_perfect_desk,
     is_perfect_elimination_order,
+    lexbfs_order,
+    oracle_ed,
     path_graph,
+    solve,
     square,
     witness_is_valid,
     PatternWitness,
@@ -321,6 +326,35 @@ def test_has_hole_matches_brute_force(ne):
     for h in (g, square(g), complement(g)):
         lengths = bf.induced_cycle_lengths(h.n, list(h.edges()))
         assert _has_hole(h) == any(k >= 5 for k in lengths)
+
+
+@st.composite
+def sparse_edge_sets(draw, max_n: int):
+    """A random (n, edge list) pair with at most 2n edges drawn as vertex pairs."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+@given(st.one_of(edge_sets(max_n=40), sparse_edge_sets(max_n=40)))
+@settings(max_examples=150, deadline=None)
+def test_lexbfs_matches_label_lexbfs(ne):
+    n, edges = ne
+    g = from_edge_list(n, edges)
+    for h in (g, square(g), complement(g)):
+        assert lexbfs_order(h) == bf.lexbfs_labels(h.n, list(h.edges()))
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_lexbfs_and_solve_on_a_large_tree():
+    """Partition refinement keeps LexBFS linear on the square of a sparse graph."""
+    tree = gen_random_chordal(8000, 0.0, 1)
+    sq = square(tree)
+    order = lexbfs_order(sq)
+    assert is_perfect_elimination_order(sq, reversed(order))
+    solution = solve(tree)
+    assert solution.path == "chordal-square" and solution.diagnostics.chordal
+    assert solution.exists == oracle_ed(tree).exists
 
 
 @pytest.mark.usefixtures("time_limit")

@@ -166,26 +166,18 @@ def find_induced_path(g: Graph, k: int) -> PatternWitness | None:
 
 # -- chordality ---------------------------------------------------------------
 
-def lexbfs_order(g: Graph) -> tuple[int, ...]:
-    """LexBFS visit order; ties broken by smallest id.
+def _lexbfs(g: Graph, check: bool) -> list[int] | None:
+    """The LexBFS loop of :func:`lexbfs_order` and :func:`_chordal_peo`.
 
-    Partition refinement (Habib, McConnell, Paul and Viennot, "Lex-BFS and
-    partition refinement", TCS 2000): the unvisited vertices sit in an
-    ordered linked list of cells, each a bitmask, and every vertex knows
-    its cell. Each step visits the smallest id in the first cell and splits
-    every cell that holds an unvisited neighbor of it into (neighbors,
-    non-neighbors), in that order. Only the touched cells are visited: each
-    one is found from its least remaining neighbor, which also clears all
-    of its neighbors at once. A split moves the smaller part to a new cell,
-    so a step costs O(degree) bitmask operations and the whole order
-    O(n + m) of them.
+    Returns the visit order; with `check`, returns None at the first
+    vertex that fails the parent check.
     """
     n = g.n
     nbr = g.masks
     # Cell c holds the vertices in members[c]; the list runs from head
     # along nxt[c] (and back along prv[c]), -1 ending it. Ids are not reused.
     members = [(1 << n) - 1] if n else []
-    nxt, prv = [-1], [-1]
+    nxt, prv, last = [-1], [-1], [-1]
     cell_of = [0] * n
     head = 0 if n else -1
     unvisited = (1 << n) - 1
@@ -196,19 +188,31 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
         unvisited ^= first
         v = first.bit_length() - 1
         order.append(v)
+        p = last[head]
         if not members[head]:
             head = nxt[head]
             if head >= 0:
                 prv[head] = -1
         nb = nbr[v] & unvisited
+        if check and p >= 0:
+            # v's visited neighbors, p among them: all but p must see p
+            seen = nbr[v] ^ nb
+            if seen & nbr[p] != seen ^ (1 << p):
+                return None
         if nb == unvisited:
-            continue  # v sees every unvisited vertex: no cell splits
+            # v sees every unvisited vertex: no cell splits, each is hit
+            c = head
+            while c >= 0:
+                last[c] = v
+                c = nxt[c]
+            continue
         while nb:
             c = cell_of[(nb & -nb).bit_length() - 1]
             hits = members[c] & nb
             nb ^= hits
             rest = members[c] ^ hits
             if not rest:
+                last[c] = v
                 continue
             # The new cell k goes next to c and takes the smaller part:
             # the hits just before c, or the rest just after it.
@@ -216,9 +220,12 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
             if hits.bit_count() <= rest.bit_count():
                 moved, members[c] = hits, rest
                 before, after = prv[c], c
+                last.append(v)
             else:
                 moved, members[c] = rest, hits
                 before, after = c, nxt[c]
+                last.append(last[c])
+                last[c] = v
             members.append(moved)
             nxt.append(after)
             prv.append(before)
@@ -232,7 +239,46 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
                 low = moved & -moved
                 moved ^= low
                 cell_of[low.bit_length() - 1] = k
-    return tuple(order)
+    return order
+
+
+def lexbfs_order(g: Graph) -> tuple[int, ...]:
+    """LexBFS visit order; ties broken by smallest id.
+
+    Partition refinement (Habib, McConnell, Paul and Viennot, "Lex-BFS and
+    partition refinement", TCS 2000): the unvisited vertices sit in an
+    ordered linked list of cells, each a bitmask, and every vertex knows
+    its cell. Each step visits the smallest id in the first cell and splits
+    every cell that holds an unvisited neighbor of it into (neighbors,
+    non-neighbors), in that order. Only the touched cells are visited: each
+    one is found from its least remaining neighbor, which also clears all
+    of its neighbors at once. A split moves the smaller part to a new cell,
+    so a step costs O(degree) bitmask operations and the whole order
+    O(n + m) of them.
+
+    The members of a cell have the same visited neighbors, so each cell
+    also keeps `last`, the most recently visited of them (-1 for none),
+    which is the parent p of whichever member is visited next. This costs
+    O(1) per touched cell. :func:`_chordal_peo` runs the same loop with the
+    parent check of Tarjan and Yannakakis ("Simple linear-time algorithms
+    to test chordality of graphs, test acyclicity of hypergraphs, and
+    selectively reduce acyclic hypergraphs", SIAM J. Comput. 1984) at each
+    visit v: the reversed order is a perfect elimination order iff every
+    visited neighbor of v other than p is adjacent to p. It stops at the
+    first vertex that fails, which proves the graph not chordal; this
+    function runs the loop to the end.
+    """
+    return tuple(_lexbfs(g, False))
+
+
+def _chordal_peo(g: Graph) -> tuple[int, ...] | None:
+    """The reversed LexBFS order if g is chordal, else None.
+
+    The order is then a perfect elimination order. The search stops at the
+    first vertex that fails the parent check, and builds no cycle witness.
+    """
+    order = _lexbfs(g, True)
+    return None if order is None else tuple(reversed(order))
 
 
 def _peo_violations(g: Graph, order: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
@@ -298,20 +344,20 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
 
     Returns (True, perfect elimination order) or (False, induced-cycle
     witness). The order is the reversed LexBFS visit order, which is a
-    perfect elimination order exactly when the graph is chordal.
+    perfect elimination order exactly when the graph is chordal. Only a
+    graph that is not chordal runs the witness search, which walks the
+    failing triples of that order to the end.
     """
-    peo = tuple(reversed(lexbfs_order(g)))
-    violated = False
+    peo = _chordal_peo(g)
+    if peo is not None:
+        return True, peo
     # Some failing triple always embeds in a hole (take the hole vertex
     # eliminated first); spurious triples may not, so walk them in order.
-    for v, u, w in _peo_violations(g, peo):
-        violated = True
+    for v, u, w in _peo_violations(g, tuple(reversed(lexbfs_order(g)))):
         witness = _cycle_from_triple(g, v, u, w)
         if witness is not None:
             return False, witness
-    if violated:
-        raise AssertionError("failed elimination check but no induced cycle found")
-    return True, peo
+    raise AssertionError("not chordal but no induced cycle found")
 
 
 # -- holes and antiholes ------------------------------------------------------

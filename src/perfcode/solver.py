@@ -10,10 +10,12 @@ search on an explicit stack, :func:`efficient_dominating_sets`, serves the
 independent oracle; it reads candidates off closed neighborhoods and never
 touches the square, so it shares no code with the pipeline.
 
-The square diagnostics that come with a solution are polynomial up to the
-odd-antihole fallback: whether a square has a hole is decided by the
-polynomial hole test alone, with no witness built, and the odd-antihole
-DFS runs only when the complement of the square has a hole.
+Each component square is tested for chordality by LexBFS with the parent
+check, which stops at the first vertex that fails and builds no cycle
+witness. The square diagnostics that come with a solution are polynomial
+up to the odd-antihole fallback: whether a square has a hole is decided by
+the polynomial hole test alone, with no witness built, and the
+odd-antihole DFS runs only when the complement of the square has a hole.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from .mwis import (
     wed_weights,
 )
 from .recognition import (
+    _chordal_peo,
     _has_hole,
     find_hole,  # not called here; bench/tracing.py wraps it by this name
     find_odd_antihole,
-    is_chordal,
+    is_chordal,  # not called here; bench/tracing.py wraps it by this name
 )
 
 #: Environment variable overriding the default max n for the hole /
@@ -68,12 +71,11 @@ def default_verify_budget() -> int:
 class SquareDiagnostics:
     """Structure verdicts for the square; None means skipped over budget.
 
-    :func:`solve` reads what it can off each component square's
-    chordality certificate. A chordal square has no induced cycle of
-    length >= 4, so no hole; nor an odd antihole, since every co-C_k with
-    k >= 6 holds an induced C4. A certificate C_k with k >= 5 is itself a
-    hole. Only a C4 certificate leaves both verdicts open. There, the hole
-    verdict comes from the polynomial hole test alone (no witness is
+    :func:`solve` takes only the chordality verdict of each component
+    square, with no cycle witness. A chordal square has no induced cycle
+    of length >= 4, so no hole; nor an odd antihole, since every co-C_k
+    with k >= 6 holds an induced C4. On a square that is not chordal, the
+    hole verdict comes from the polynomial hole test alone (no witness is
     needed, so no hole DFS runs), and :func:`find_odd_antihole` runs the
     same test on the square's complement, so its DFS runs only when the
     complement has a hole.
@@ -222,9 +224,10 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     """Minimum-weight efficient domination via MWIS on the square.
 
     Per connected component: square the component and test the square for
-    chordality (always tested directly, never assumed). A chordal square
-    runs the two-pass greedy MWIS over the certified perfect elimination
-    order, on closed neighborhood sizes combined with the user weights
+    chordality (always tested directly, never assumed) by LexBFS with the
+    parent check, which stops at the first failure. A chordal square
+    runs the two-pass greedy MWIS over the reversed LexBFS order, a
+    perfect elimination order, on closed neighborhood sizes combined with the user weights
     (:func:`wed_weights`); an e.d. exists iff the optimum's neighborhood
     weight covers the whole component. A non-chordal square runs an exact
     cover search over the closed neighborhoods (path "exact-fallback"),
@@ -242,14 +245,13 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     of the per-component ones. Chordality is always reported; the hole /
     odd-antihole verdicts are skipped (None) when the whole graph's n is
     above the verification budget
-    (PERFCODE_VERIFY_BUDGET, default 30). Within it, a component's verdicts
-    come off its chordality certificate where they can (see
-    :class:`SquareDiagnostics`): a chordal square is hole-free and
-    odd-antihole-free, and a C_{>=5} certificate is a hole; otherwise the
-    polynomial hole test decides the hole verdict and
-    :func:`find_odd_antihole` searches the square, whose exhaustive DFS
-    runs only when the square's complement has a hole. A connected graph
-    is its own component and is not copied.
+    (PERFCODE_VERIFY_BUDGET, default 30). Within it (see
+    :class:`SquareDiagnostics`), a chordal square is hole-free and
+    odd-antihole-free with no search; on any other square the polynomial
+    hole test decides the hole verdict and :func:`find_odd_antihole`
+    searches the square, whose exhaustive DFS runs only when the square's
+    complement has a hole. A connected graph is its own component and is
+    not copied.
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
@@ -263,24 +265,21 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     for component in components:
         sub = g if len(components) == 1 else induced_subgraph(g, component)[0]
         sq = square(sub)
-        parts.append((component, sub, sq, *is_chordal(sq)))
-    non_chordal = [(sq, cert) for _, _, sq, chordal, cert in parts if not chordal]
+        parts.append((component, sub, sq, _chordal_peo(sq)))
+    non_chordal = [sq for _, _, sq, peo in parts if peo is None]
     within_budget = g.n <= default_verify_budget()
     diagnostics = SquareDiagnostics(
         chordal=not non_chordal,
-        hole_free=(
-            all(len(cert.vertices) == 4 and not _has_hole(sq) for sq, cert in non_chordal)
-            if within_budget
-            else None
-        ),
+        hole_free=all(not _has_hole(sq) for sq in non_chordal) if within_budget else None,
         odd_antihole_free=(
-            all(find_odd_antihole(sq) is None for sq, _ in non_chordal) if within_budget else None
+            all(find_odd_antihole(sq) is None for sq in non_chordal) if within_budget else None
         ),
     )
 
     chosen: list[int] = []
     path = "exact-fallback" if mode == "exact" else "chordal-square"
-    for component, sub, sq, chordal, cert in parts:
+    for component, sub, sq, peo in parts:
+        chordal = peo is not None
         if mode == "chordal" and not chordal:
             raise ValueError("forced chordal path but the square is not chordal")
         local = tuple(unit[v] for v in component)
@@ -291,7 +290,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
             nbh = closed_neighborhood_weights(sub)
             combined, _scale = wed_weights(sq, nbh, local)
             if chordal and mode != "exact":
-                vertices = _chordal_greedy(sq, combined, cert).vertices
+                vertices = _chordal_greedy(sq, combined, peo).vertices
             else:
                 vertices = mwis_exact(sq, combined).vertices
                 path = "exact-fallback"

@@ -33,6 +33,7 @@ from perfcode import (
 )
 from perfcode.recognition import (
     CLASS_TAGS,
+    _chordal_peo,
     _embeddings,
     _has_hole,
     find_all_holes,
@@ -230,6 +231,78 @@ def test_is_chordal_matches_brute_force(ne):
 def test_is_perfect_elimination_order_rejects_non_permutation():
     with pytest.raises(ValueError):
         is_perfect_elimination_order(path_graph(3), (0, 0, 1))
+
+
+def _assert_chordal_peo(g):
+    """_chordal_peo against the whole LexBFS order and the full PEO scan."""
+    order = tuple(reversed(lexbfs_order(g)))
+    expected = order if is_perfect_elimination_order(g, order) else None
+    assert _chordal_peo(g) == expected
+
+
+@given(edge_sets(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_chordal_peo_matches_brute_force(ne):
+    n, edges = ne
+    g = from_edge_list(n, edges)
+    for h in (g, square(g), complement(g)):
+        peo = _chordal_peo(h)
+        assert (peo is not None) == bf.is_chordal(h.n, list(h.edges()))
+        if peo is not None:
+            assert peo == tuple(reversed(lexbfs_order(h)))
+
+
+def test_chordal_peo_seeded_sweep():
+    """9,000 graphs: a wrong parent fails the check on only a few of them."""
+    rng = random.Random(2024)
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        g = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for h in (g, square(g), complement(g)):
+            _assert_chordal_peo(h)
+
+
+CHORDAL_PEO_TABLE = {
+    "empty": (from_edge_list(0, []), True),
+    "K1": (from_edge_list(1, []), True),
+    "K6": (from_edge_list(6, list(combinations(range(6), 2))), True),
+    "C4": (cycle_graph(4), False),
+    "C5": (cycle_graph(5), False),
+    "house": (pattern_graph("house"), False),
+    "gem": (from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)]), True),
+    "complete 4-sun": (complete_sun(4), True),
+    "square of the complete 4-sun": (square(complete_sun(4)), False),
+    # each of the last three is misjudged when one update of a cell's last
+    # visited neighbor is left out: a split's non-neighbor part set to v,
+    # no update on a fully hit cell, no update when v sees every unvisited
+    # vertex
+    "P3 and K1": (from_edge_list(4, [(0, 1), (0, 3)]), True),
+    "C4 with a pendant": (from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)]), False),
+    "W4 with an ear": (
+        from_edge_list(
+            6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CHORDAL_PEO_TABLE))
+def test_chordal_peo_on_named_graphs(name):
+    g, chordal = CHORDAL_PEO_TABLE[name]
+    assert bf.is_chordal(g.n, list(g.edges())) == chordal
+    assert (_chordal_peo(g) is not None) == chordal
+    _assert_chordal_peo(g)
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_chordal_peo_on_long_inputs():
+    assert _chordal_peo(square(cycle_graph(3000))) is None
+    tree = gen_random_chordal(8000, 0.0, 1)
+    peo = _chordal_peo(tree)
+    assert peo == tuple(reversed(lexbfs_order(tree)))
+    assert is_perfect_elimination_order(tree, peo)
 
 
 # -- holes, antiholes, perfection ----------------------------------------------

@@ -152,8 +152,8 @@ def test_diagnostics_match_whole_square(ne_a, ne_b):
 @given(edge_sets(max_n=12))
 @settings(max_examples=200, deadline=None)
 def test_diagnostics_of_single_graphs_match_whole_square(ne):
-    # covers connected graphs, where solve reads the verdicts off the
-    # chordality certificate of the square itself
+    # covers connected graphs, where solve tests the square of the graph
+    # itself, not of a copy
     _assert_diagnostics_of_whole_square(from_edge_list(*ne))
 
 
@@ -179,11 +179,15 @@ def test_verify_budget_applies_to_the_whole_graph(monkeypatch):
 
 
 def _count_calls(monkeypatch):
-    """Count solve's calls of the hole test, the searches and induced_subgraph."""
+    """Count solve's calls of the hole test, the searches and induced_subgraph.
+
+    `is_chordal` is counted too, and no test below expects it: solve takes
+    the chordality verdict alone, with no cycle witness.
+    """
     import perfcode.solver
 
     calls = Counter()
-    for name in ("_has_hole", "find_hole", "find_odd_antihole", "induced_subgraph"):
+    for name in ("_has_hole", "find_hole", "find_odd_antihole", "induced_subgraph", "is_chordal"):
 
         def counted(*args, _name=name, _original=getattr(perfcode.solver, name)):
             calls[_name] += 1
@@ -200,13 +204,13 @@ def test_chordal_connected_square_runs_no_search_and_no_copy(monkeypatch):
     assert calls == Counter()
 
 
-def test_long_certificate_is_the_hole(monkeypatch):
-    # the square of C9 is certified non-chordal by an induced C5
+def test_hole_verdict_comes_from_the_hole_test(monkeypatch):
+    # the square of C9 has a hole, an induced C5, which solve does not build
     assert is_chordal(square(cycle_graph(9)))[1].kind == "C5"
     calls = _count_calls(monkeypatch)
     solution = solve(cycle_graph(9))
     assert solution.diagnostics == SquareDiagnostics(False, False, True)
-    assert calls == Counter(find_odd_antihole=1)
+    assert calls == Counter(_has_hole=1, find_odd_antihole=1)
 
 
 def test_c4_certificate_runs_both_searches(monkeypatch):
@@ -229,7 +233,7 @@ def test_c4_certificate_runs_both_searches(monkeypatch):
     ],
 )
 def test_c4_certificate_with_a_hole_elsewhere(g):
-    # the certificate is a C4, so only the hole search sees the C5
+    # is_chordal's witness is a C4; the hole test still sees the C5
     sq = square(g)
     assert is_chordal(sq)[1].kind == "C4"
     assert find_hole(sq).kind == "C5"

@@ -176,7 +176,7 @@ def square(g: Graph) -> Graph:
 
 def closed_neighborhood_weights(g: Graph) -> tuple[int, ...]:
     """Per-vertex |N[v]| = degree + 1."""
-    return tuple(g.degree(v) + 1 for v in range(g.n))
+    return tuple([mask.bit_count() + 1 for mask in g.masks])
 
 
 def complement(g: Graph) -> Graph:

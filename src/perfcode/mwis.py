@@ -10,7 +10,7 @@ result sets, so optima are canonical and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import Graph, _mask_to_tuple
 from .recognition import is_perfect_elimination_order
@@ -45,15 +45,19 @@ def mwis_chordal(g: Graph, weights: Sequence[int], peo: Sequence[int]) -> MwisRe
     order = tuple(peo)
     if not is_perfect_elimination_order(g, order):
         raise ValueError("order is not a perfect elimination order of the graph")
-    return _chordal_greedy(g, w, order)
+    vertices = _mask_to_tuple(_chordal_greedy(g.masks, list(w), order))
+    return MwisResult(vertices, sum(w[v] for v in vertices), "chordal-greedy")
 
 
-def _chordal_greedy(g: Graph, w: Sequence[int], peo: Sequence[int]) -> MwisResult:
-    """The two passes of :func:`mwis_chordal` on an already certified order."""
-    nbr = g.masks
-    residual = list(w)
+def _chordal_greedy(nbr: Sequence[int], residual: list[int], peo: Iterable[int]) -> int:
+    """The two passes of :func:`mwis_chordal` on an already certified order.
+
+    `residual` holds the weights by vertex id and is used up. Only the
+    entries of the order's vertices are read or written, so the order may
+    be that of one component of a larger graph. Returns the chosen mask.
+    """
     marked: list[int] = []
-    later = (1 << g.n) - 1
+    later = (1 << len(nbr)) - 1
     for v in peo:
         later ^= 1 << v
         r = residual[v]
@@ -66,8 +70,7 @@ def _chordal_greedy(g: Graph, w: Sequence[int], peo: Sequence[int]) -> MwisResul
     for v in reversed(marked):
         if not nbr[v] & chosen_mask:
             chosen_mask |= 1 << v
-    vertices = _mask_to_tuple(chosen_mask)
-    return MwisResult(vertices, sum(w[v] for v in vertices), "chordal-greedy")
+    return chosen_mask
 
 
 def _clique_cover_bound(g: Graph, remaining: int, w: Sequence[int]) -> int:
@@ -127,6 +130,18 @@ def mwis_exact(g: Graph, weights: Sequence[int]) -> MwisResult:
     for v in range(g.n):
         if w[v] > 0:
             pool |= 1 << v
+    best_mask, best_value = _mwis_exact(g, w, pool)
+    return MwisResult(_mask_to_tuple(best_mask), best_value, "branch-and-bound")
+
+
+def _mwis_exact(g: Graph, w: Sequence[int], pool: int) -> tuple[int, int]:
+    """The search of :func:`mwis_exact` over the vertices of `pool` alone.
+
+    Every vertex of `pool` must have positive weight. When `pool` is a
+    component of g, this is mwis_exact on the induced component, ids mapped
+    back: its branching and bound read degrees inside `remaining` and break
+    ties by least id. Returns (mask, value) of the optimum.
+    """
     best_value = 0
     best_mask = 0
     stack = [(pool, 0, 0)]
@@ -145,20 +160,19 @@ def mwis_exact(g: Graph, weights: Sequence[int]) -> MwisResult:
         stack.append(
             (remaining & ~g.closed_mask(pick), current_mask | (1 << pick), current_value + w[pick])
         )
-    vertices = _mask_to_tuple(best_mask)
-    return MwisResult(vertices, best_value, "branch-and-bound")
+    return best_mask, best_value
 
 
-def _precedes(sq: Graph, new: int, old: int) -> bool:
+def _precedes(sq: Graph, new: int, old: int, remaining: int) -> bool:
     """True iff independent set `new` precedes `old` among mwis_exact's leaves on sq.
 
-    Both are vertex bitmasks of independent sets of sq, and mwis_exact is
-    assumed to start from every vertex (all weights positive). Walks its
+    Both are vertex bitmasks of independent sets of sq, and the search is
+    assumed to start from every vertex of `remaining` (all weights
+    positive), a union of components of sq holding both sets. Walks its
     branching rule from the root: a pick in both sets is included, a pick
     in neither is excluded, and the first pick in exactly one set decides,
     since the include branch is searched first.
     """
-    remaining = (1 << sq.n) - 1
     while True:
         pick = _branch_vertex(sq, remaining)
         in_new = (new >> pick) & 1

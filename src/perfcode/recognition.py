@@ -166,11 +166,20 @@ def find_induced_path(g: Graph, k: int) -> PatternWitness | None:
 
 # -- chordality ---------------------------------------------------------------
 
-def _lexbfs(g: Graph, check: bool) -> list[int] | None:
+def _lexbfs(g: Graph, check: bool) -> list[list]:
     """The LexBFS loop of :func:`lexbfs_order` and :func:`_chordal_peo`.
 
-    Returns the visit order; with `check`, returns None at the first
-    vertex that fails the parent check.
+    Returns one ``[mask, order]`` pair per connected component, in the
+    order of :func:`~perfcode.graph.connected_components`: the component's
+    vertex bitmask and its visit order. A visit whose cell has no visited
+    member (``last == -1``) has no visited neighbor, so it starts the next
+    component; LexBFS finishes a component before it leaves it, and starts
+    the next at the least unvisited vertex, so each order is the LexBFS
+    order of the induced component, ids mapped back. With `check`, a
+    component whose visit fails the parent check gets order None: its
+    remaining vertices are dropped at once, from `unvisited` and from the
+    one cell with ``last == -1`` (which holds every unvisited vertex with no
+    visited neighbor), and the loop goes on with the next component.
     """
     n = g.n
     nbr = g.masks
@@ -181,24 +190,44 @@ def _lexbfs(g: Graph, check: bool) -> list[int] | None:
     cell_of = [0] * n
     head = 0 if n else -1
     unvisited = (1 << n) - 1
-    order = []
+    # Each pair first holds `unvisited` before its component started.
+    parts = []
     while head >= 0:
         first = members[head] & -members[head]
         members[head] ^= first
         unvisited ^= first
         v = first.bit_length() - 1
-        order.append(v)
         p = last[head]
         if not members[head]:
             head = nxt[head]
             if head >= 0:
                 prv[head] = -1
         nb = nbr[v] & unvisited
-        if check and p >= 0:
-            # v's visited neighbors, p among them: all but p must see p
-            seen = nbr[v] ^ nb
-            if seen & nbr[p] != seen ^ (1 << p):
-                return None
+        if p < 0:
+            order = [v]
+            parts.append([unvisited | first, order])
+        else:
+            order.append(v)
+            if check:
+                # v's visited neighbors, p among them: all but p must see p
+                seen = nbr[v] ^ nb
+                if seen & nbr[p] != seen ^ (1 << p):
+                    parts[-1][1] = None
+                    component = frontier = first
+                    while frontier:
+                        low = frontier & -frontier
+                        fresh = nbr[low.bit_length() - 1] & ~component
+                        component |= fresh
+                        frontier = (frontier ^ low) | fresh
+                    unvisited &= ~component
+                    # What is left sees no visited vertex: it is all in the last cell.
+                    if unvisited:
+                        head = cell_of[(unvisited & -unvisited).bit_length() - 1]
+                        members[head] = unvisited
+                        prv[head] = -1
+                    else:
+                        head = -1
+                    continue
         if nb == unvisited:
             # v sees every unvisited vertex: no cell splits, each is hit
             c = head
@@ -239,7 +268,9 @@ def _lexbfs(g: Graph, check: bool) -> list[int] | None:
                 low = moved & -moved
                 moved ^= low
                 cell_of[low.bit_length() - 1] = k
-    return order
+    for i in range(len(parts) - 1):
+        parts[i][0] ^= parts[i + 1][0]
+    return parts
 
 
 def lexbfs_order(g: Graph) -> tuple[int, ...]:
@@ -264,21 +295,38 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     to test chordality of graphs, test acyclicity of hypergraphs, and
     selectively reduce acyclic hypergraphs", SIAM J. Comput. 1984) at each
     visit v: the reversed order is a perfect elimination order iff every
-    visited neighbor of v other than p is adjacent to p. It stops at the
-    first vertex that fails, which proves the graph not chordal; this
-    function runs the loop to the end.
+    visited neighbor of v other than p is adjacent to p. It stops a
+    component at the first vertex that fails, which proves that component
+    not chordal, and goes on with the next; this function runs the loop to
+    the end.
+
+    A cell with no visited member (`last` = -1) holds only vertices with no
+    visited neighbor, so a visit from it starts a new connected component:
+    the order runs through the components one after another, in the order
+    of :func:`~perfcode.graph.connected_components`, and the part of each
+    is the LexBFS order of that induced component, ids mapped back.
     """
-    return tuple(_lexbfs(g, False))
+    order = []
+    for _, part in _lexbfs(g, False):
+        order += part
+    return tuple(order)
 
 
 def _chordal_peo(g: Graph) -> tuple[int, ...] | None:
     """The reversed LexBFS order if g is chordal, else None.
 
-    The order is then a perfect elimination order. The search stops at the
-    first vertex that fails the parent check, and builds no cycle witness.
+    The order is then a perfect elimination order. Each component's search
+    stops at the first vertex that fails the parent check, and builds no
+    cycle witness.
     """
-    order = _lexbfs(g, True)
-    return None if order is None else tuple(reversed(order))
+    # A list first: tuple() over a chain of the parts grows by resizing,
+    # which raised campaign peak RSS by about 5%.
+    peo = []
+    for _, order in reversed(_lexbfs(g, True)):
+        if order is None:
+            return None
+        peo += reversed(order)
+    return tuple(peo)
 
 
 def _peo_violations(g: Graph, order: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:

@@ -10,12 +10,15 @@ search on an explicit stack, :func:`efficient_dominating_sets`, serves the
 independent oracle; it reads candidates off closed neighborhoods and never
 touches the square, so it shares no code with the pipeline.
 
-Each component square is tested for chordality by LexBFS with the parent
-check, which stops at the first vertex that fails and builds no cycle
-witness. The square diagnostics that come with a solution are polynomial
-up to the odd-antihole fallback: whether a square has a hole is decided by
-the polynomial hole test alone, with no witness built, and the
-odd-antihole DFS runs only when the complement of the square has a hole.
+The whole graph is squared once, and one LexBFS pass over the square,
+with the parent check, yields every connected component with its
+chordality verdict; the check stops a component at the first vertex that
+fails and builds no cycle witness. Each component is then solved in
+place, on vertex masks of the one square. The square diagnostics that
+come with a solution are polynomial up to the odd-antihole fallback:
+whether a component square has a hole is decided by the polynomial hole
+test alone, with no witness built, and the odd-antihole DFS runs only
+when the complement of that component square has a hole.
 """
 
 from __future__ import annotations
@@ -28,21 +31,21 @@ from .graph import (
     Graph,
     _mask_to_tuple,
     closed_neighborhood_weights,
-    connected_components,
+    connected_components,  # not called here; bench/tracing.py wraps it by this name
     induced_subgraph,
     square,
 )
 from .mwis import (
     _check_weights,
     _chordal_greedy,
+    _mwis_exact,
     _precedes,
     mwis_chordal,  # not called here; bench/tracing.py wraps it by this name
-    mwis_exact,
-    wed_weights,
+    mwis_exact,  # not called here; bench/tracing.py wraps it by this name
 )
 from .recognition import (
-    _chordal_peo,
     _has_hole,
+    _lexbfs,
     find_hole,  # not called here; bench/tracing.py wraps it by this name
     find_odd_antihole,
     is_chordal,  # not called here; bench/tracing.py wraps it by this name
@@ -72,12 +75,15 @@ class SquareDiagnostics:
     """Structure verdicts for the square; None means skipped over budget.
 
     :func:`solve` takes only the chordality verdict of each component
-    square, with no cycle witness. A chordal square has no induced cycle
-    of length >= 4, so no hole; nor an odd antihole, since every co-C_k
-    with k >= 6 holds an induced C4. On a square that is not chordal, the
-    hole verdict comes from the polynomial hole test alone (no witness is
+    square, from its one LexBFS pass over the whole square, with no cycle
+    witness. A chordal square has no induced cycle of length >= 4, so no
+    hole; nor an odd antihole, since every co-C_k with k >= 6 holds an
+    induced C4. A component square that is not chordal is copied out of
+    the whole square (unless it is all of it), so that the searches never
+    run on the complement of the whole square. On the copy, the hole
+    verdict comes from the polynomial hole test alone (no witness is
     needed, so no hole DFS runs), and :func:`find_odd_antihole` runs the
-    same test on the square's complement, so its DFS runs only when the
+    same test on the copy's complement, so its DFS runs only when that
     complement has a hole.
     """
 
@@ -174,36 +180,38 @@ def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     return best
 
 
-def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...] | None:
-    """The e.d. of `sub` that mwis_exact on its square `sq` would return, or None.
+def _min_weight_ed(
+    closed: Sequence[int], blocks: Sequence[int], sq: Graph, user: Sequence[int], component: int
+) -> int | None:
+    """The e.d. of one component that mwis_exact on its square would return, or None.
 
-    Weighted exact cover of the closed neighborhoods, depth-first on an
-    explicit stack: branch on the uncovered vertex with the fewest
-    candidates (closed neighbors outside the closed neighborhood in `sq` of
-    every chosen vertex, i.e. whose own closed neighborhood is still
-    uncovered; the scan stops at the first with 0 or 1), candidates in
-    ascending id, pruning nodes heavier than the best e.d. so far. Ties on
-    user weight go to the set that mwis_exact meets first (see
-    :func:`_precedes`), which is the one it returns: with the weights of
-    :func:`wed_weights` every e.d. outscores every other independent set of
-    the square, and each independent set is exactly one leaf of its search.
+    `component` is the vertex mask of a connected component of the graph,
+    `closed` its closed neighborhoods and `blocks` those of its square `sq`,
+    all by vertex id of the whole graph. Weighted exact cover of the closed
+    neighborhoods, depth-first on an explicit stack: branch on the
+    uncovered vertex with the fewest candidates (closed neighbors outside
+    the closed neighborhood in `sq` of every chosen vertex, i.e. whose own
+    closed neighborhood is still uncovered; the scan stops at the first
+    with 0 or 1), candidates in ascending id, pruning nodes heavier than
+    the best e.d. so far. Ties on user weight go to the set that mwis_exact
+    meets first (see :func:`_precedes`), which is the one it returns: with
+    the weights of :func:`wed_weights` every e.d. outscores every other
+    independent set of the square, and each independent set is exactly one
+    leaf of its search. Returns the e.d. as a vertex mask.
     """
-    closed = [mask | (1 << v) for v, mask in enumerate(sub.masks)]
-    blocks = [mask | (1 << v) for v, mask in enumerate(sq.masks)]
-    full = (1 << sub.n) - 1
     best_weight = -1
     best = 0
-    stack = [(0, full, 0, 0)]  # (covered, usable, chosen, weight)
+    stack = [(0, component, 0, 0)]  # (covered, usable, chosen, weight)
     while stack:
         covered, usable, chosen, weight = stack.pop()
         if best_weight >= 0 and weight > best_weight:
             continue
-        if covered == full:
-            if best_weight < 0 or weight < best_weight or _precedes(sq, chosen, best):
+        if covered == component:
+            if best_weight < 0 or weight < best_weight or _precedes(sq, chosen, best, component):
                 best_weight, best = weight, chosen
             continue
-        fewest = sub.n + 1
-        rest = full ^ covered
+        fewest = len(closed) + 1
+        rest = component ^ covered
         while rest:
             low = rest & -rest
             cands = closed[low.bit_length() - 1] & usable
@@ -217,88 +225,94 @@ def _min_weight_ed(sub: Graph, sq: Graph, user: Sequence[int]) -> tuple[int, ...
             stack.append(
                 (covered | closed[c], usable & ~blocks[c], chosen | (1 << c), weight + user[c])
             )
-    return _mask_to_tuple(best) if best_weight >= 0 else None
+    return best if best_weight >= 0 else None
 
 
 def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> EDSolution:
     """Minimum-weight efficient domination via MWIS on the square.
 
-    Per connected component: square the component and test the square for
-    chordality (always tested directly, never assumed) by LexBFS with the
-    parent check, which stops at the first failure. A chordal square
-    runs the two-pass greedy MWIS over the reversed LexBFS order, a
-    perfect elimination order, on closed neighborhood sizes combined with the user weights
-    (:func:`wed_weights`); an e.d. exists iff the optimum's neighborhood
-    weight covers the whole component. A non-chordal square runs an exact
-    cover search over the closed neighborhoods (path "exact-fallback"),
-    which returns the very set the exact MWIS branch-and-bound would: ties
-    on user weight are broken by that search's own branching order.
-    Components are solved in order, stopping at the first without an e.d.
+    Squares the whole graph once: the square of a disjoint union is the
+    disjoint union of the squares, so its components are those of g. One
+    LexBFS pass with the parent check over the square yields each
+    component, as a vertex mask, with its chordality verdict (always
+    tested directly, never assumed) and, when chordal, its visit order; the
+    check stops a component at its first failing vertex and goes on with
+    the next. Every component is then solved in place on masks of the one
+    square, with no induced copy. A chordal square runs the two-pass
+    greedy MWIS over the reversed LexBFS order, a perfect elimination
+    order, on closed neighborhood sizes combined with the user weights
+    (:func:`wed_weights`, each component on its own scale); an e.d. exists
+    iff the optimum's neighborhood weight covers the whole component. A
+    non-chordal square runs an exact cover search over the closed
+    neighborhoods (path "exact-fallback"), which returns the very set the
+    exact MWIS branch-and-bound would: ties on user weight are broken by
+    that search's own branching order. Components are solved in order,
+    stopping at the first without an e.d.
 
     mode: "auto" picks per component as above; "chordal" forces the greedy
     and raises ValueError at the first component whose square is not
-    chordal; "exact" forces :func:`mwis_exact` on every square, the
-    reference MWIS route; "oracle" delegates to :func:`oracle_ed`. The
-    diagnostics are read off the component squares: the square of a
-    disjoint union is the disjoint union of the squares, and holes and
-    antiholes are connected, so each verdict on the whole square is the AND
-    of the per-component ones. Chordality is always reported; the hole /
+    chordal; "exact" forces the branch-and-bound of :func:`mwis_exact` on
+    every component square, the reference MWIS route; "oracle" delegates
+    to :func:`oracle_ed`. Chordality is always reported; the hole /
     odd-antihole verdicts are skipped (None) when the whole graph's n is
-    above the verification budget
-    (PERFCODE_VERIFY_BUDGET, default 30). Within it (see
-    :class:`SquareDiagnostics`), a chordal square is hole-free and
-    odd-antihole-free with no search; on any other square the polynomial
-    hole test decides the hole verdict and :func:`find_odd_antihole`
-    searches the square, whose exhaustive DFS runs only when the square's
-    complement has a hole. A connected graph is its own component and is
-    not copied.
+    above the verification budget (PERFCODE_VERIFY_BUDGET, default 30).
+    Within it (see :class:`SquareDiagnostics`) they are read off the
+    component squares, since holes and antiholes are connected: a chordal
+    square is hole-free and odd-antihole-free with no search, and each
+    non-chordal one, copied out of the square unless it is the whole
+    graph, gets the polynomial hole test and :func:`find_odd_antihole`,
+    whose exhaustive DFS runs only when that square's complement has a
+    hole.
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
     weights = _check_weights(g, user) if user is not None else None
     if mode == "oracle":
         return oracle_ed(g, weights)
-    unit = weights if weights is not None else tuple([0] * g.n)
+    unit = weights if weights is not None else (0,) * g.n
 
-    components = connected_components(g)
-    parts = []
-    for component in components:
-        sub = g if len(components) == 1 else induced_subgraph(g, component)[0]
-        sq = square(sub)
-        parts.append((component, sub, sq, _chordal_peo(sq)))
-    non_chordal = [sq for _, _, sq, peo in parts if peo is None]
-    within_budget = g.n <= default_verify_budget()
-    diagnostics = SquareDiagnostics(
-        chordal=not non_chordal,
-        hole_free=all(not _has_hole(sq) for sq in non_chordal) if within_budget else None,
-        odd_antihole_free=(
-            all(find_odd_antihole(sq) is None for sq in non_chordal) if within_budget else None
-        ),
-    )
+    sq = square(g)
+    parts = _lexbfs(sq, True)
+    non_chordal = [mask for mask, order in parts if order is None]
+    hole_free = odd_antihole_free = None
+    if g.n <= default_verify_budget():
+        copies = [
+            sq if len(parts) == 1 else induced_subgraph(sq, _mask_to_tuple(mask))[0]
+            for mask in non_chordal
+        ]
+        hole_free = all(not _has_hole(h) for h in copies)
+        odd_antihole_free = all(find_odd_antihole(h) is None for h in copies)
+    diagnostics = SquareDiagnostics(not non_chordal, hole_free, odd_antihole_free)
 
-    chosen: list[int] = []
+    nbh = closed_neighborhood_weights(g)
+    if mode == "auto" and non_chordal:
+        closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
+        blocks = [mask | (1 << v) for v, mask in enumerate(sq.masks)]
+    combined = [0] * g.n
+    chosen = 0
     path = "exact-fallback" if mode == "exact" else "chordal-square"
-    for component, sub, sq, peo in parts:
-        chordal = peo is not None
-        if mode == "chordal" and not chordal:
+    for component, order in parts:
+        if order is None and mode == "chordal":
             raise ValueError("forced chordal path but the square is not chordal")
-        local = tuple(unit[v] for v in component)
-        if mode == "auto" and not chordal:
-            vertices = _min_weight_ed(sub, sq, local)
+        if order is None and mode == "auto":
+            found = _min_weight_ed(closed, blocks, sq, unit, component)
             path = "exact-fallback"
         else:
-            nbh = closed_neighborhood_weights(sub)
-            combined, _scale = wed_weights(sq, nbh, local)
-            if chordal and mode != "exact":
-                vertices = _chordal_greedy(sq, combined, peo).vertices
+            vertices = order if order is not None else _mask_to_tuple(component)
+            scale = 1 + sum(unit[v] for v in vertices)
+            for v in vertices:
+                combined[v] = scale * nbh[v] - unit[v]
+            if order is not None and mode != "exact":
+                # uses up this component's entries of combined as residuals
+                found = _chordal_greedy(sq.masks, combined, reversed(order))
             else:
-                vertices = mwis_exact(sq, combined).vertices
+                found = _mwis_exact(sq, combined, component)[0]
                 path = "exact-fallback"
-            if sum(nbh[v] for v in vertices) != sub.n:
-                vertices = None
-        if vertices is None:
+            if sum(nbh[v] for v in _mask_to_tuple(found)) != len(vertices):
+                found = None
+        if found is None:
             return EDSolution(False, None, None, path, diagnostics)
-        chosen.extend(component[v] for v in vertices)
-    chosen.sort()
-    user_weight = sum(weights[v] for v in chosen) if weights is not None else None
-    return EDSolution(True, tuple(chosen), user_weight, path, diagnostics)
+        chosen |= found
+    vertices = _mask_to_tuple(chosen)
+    user_weight = sum(weights[v] for v in vertices) if weights is not None else None
+    return EDSolution(True, vertices, user_weight, path, diagnostics)

@@ -143,8 +143,18 @@ class VerificationReport:
 # -- corpora -----------------------------------------------------------------
 
 def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return from_edge_list(n, edges)
+    """G(n, p): one draw per pair (u, v), u < v, in lexicographic order."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    masks = [0] * n
+    draw = rng.random
+    for u in range(n):
+        bit = 1 << u
+        for v in range(u + 1, n):
+            if draw() < p:
+                masks[u] |= 1 << v
+                masks[v] |= bit
+    return Graph._built(tuple(masks))
 
 
 def gen_random_graph(n: int, p: float, seed: int) -> Graph:

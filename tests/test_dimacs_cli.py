@@ -244,6 +244,11 @@ def test_cli_gen_er_deterministic(capsys):
     assert capsys.readouterr().out != first
 
 
+def test_cli_gen_negative_n_is_a_usage_error(capsys):
+    assert main(["gen", "--model", "er", "--n", "-1"]) == 2
+    assert "vertex count" in capsys.readouterr().err
+
+
 def test_cli_gen_chordal_parses(capsys):
     code = main(["gen", "--model", "chordal", "--n", "10", "--p", "0.3", "--seed", "1"])
     out = capsys.readouterr().out

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import edge_sets
+from conftest import disjoint_union, edge_sets
 from perfcode import (
     class_membership,
     complement,
     complete_sun,
+    connected_components,
     cycle_graph,
     find_hole,
     find_induced_path,
@@ -19,6 +20,7 @@ from perfcode import (
     find_pattern,
     from_edge_list,
     gen_random_chordal,
+    induced_subgraph,
     is_chordal,
     is_class_member,
     is_perfect_desk,
@@ -36,6 +38,7 @@ from perfcode.recognition import (
     _chordal_peo,
     _embeddings,
     _has_hole,
+    _lexbfs,
     find_all_holes,
     find_all_odd_antiholes,
     pattern_graph,
@@ -303,6 +306,64 @@ def test_chordal_peo_on_long_inputs():
     peo = _chordal_peo(tree)
     assert peo == tuple(reversed(lexbfs_order(tree)))
     assert is_perfect_elimination_order(tree, peo)
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 30):
+    """Graphs on up to max_n vertices with at most about n edges, so often disconnected."""
+    n = draw(st.integers(0, max_n))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=n))
+    return from_edge_list(n, sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]}))
+
+
+def _component_verdicts(g):
+    """_lexbfs's component pass against each induced component; its verdicts."""
+    parts = _lexbfs(g, True)
+    components = connected_components(g)
+    assert [mask for mask, _ in parts] == [sum(1 << v for v in c) for c in components]
+    for (_, order), component in zip(parts, components):
+        sub = induced_subgraph(g, component)[0]
+        assert (order is not None) == (_chordal_peo(sub) is not None)
+        if order is not None:
+            assert order == [component[v] for v in lexbfs_order(sub)]
+    unchecked = _lexbfs(g, False)
+    assert [order for _, order in unchecked] == [
+        [component[v] for v in lexbfs_order(induced_subgraph(g, component)[0])]
+        for component in components
+    ]
+    return [order is not None for _, order in parts]
+
+
+@given(st.one_of(sparse_graphs(), edge_sets(max_n=30).map(lambda ne: from_edge_list(*ne))))
+@settings(max_examples=200, deadline=None)
+def test_component_pass_matches_the_induced_components(g):
+    for h in (g, square(g)):
+        _component_verdicts(h)
+
+
+# The squares of P3, P4 and K1 are chordal; those of C6 and C7 are not.
+C6_WITH_TAIL = from_edge_list(12, [*cycle_graph(6).edges(), *((v, v + 1) for v in range(5, 11))])
+COMPONENT_PASS_TABLE = {
+    "failing first": ((cycle_graph(6), path_graph(3), path_graph(4)), [False, True, True]),
+    "failing between": ((path_graph(3), cycle_graph(6), path_graph(4)), [True, False, True]),
+    "failing last": ((path_graph(3), path_graph(4), cycle_graph(6)), [True, True, False]),
+    # the square's check fails at once, with the far end of the tail unvisited
+    "failing with a long tail": ((path_graph(3), C6_WITH_TAIL, path_graph(4)), [True, False, True]),
+    "two failing": (
+        (cycle_graph(7), path_graph(3), cycle_graph(6), from_edge_list(1, [])),
+        [False, True, False, True],
+    ),
+}
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("name", list(COMPONENT_PASS_TABLE))
+def test_component_pass_goes_on_after_a_failing_component(name):
+    pieces, verdicts = COMPONENT_PASS_TABLE[name]
+    sq = square(disjoint_union(*pieces))
+    assert _component_verdicts(sq) == verdicts
+    assert (_chordal_peo(sq) is not None) == all(verdicts)
 
 
 # -- holes, antiholes, perfection ----------------------------------------------

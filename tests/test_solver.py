@@ -179,7 +179,7 @@ def test_verify_budget_applies_to_the_whole_graph(monkeypatch):
 
 
 def _count_calls(monkeypatch):
-    """Count solve's calls of the hole test, the searches and induced_subgraph.
+    """Count solve's calls of the hole test, the searches and the component copies.
 
     `is_chordal` is counted too, and no test below expects it: solve takes
     the chordality verdict alone, with no cycle witness.
@@ -187,7 +187,15 @@ def _count_calls(monkeypatch):
     import perfcode.solver
 
     calls = Counter()
-    for name in ("_has_hole", "find_hole", "find_odd_antihole", "induced_subgraph", "is_chordal"):
+    names = (
+        "_has_hole",
+        "connected_components",
+        "find_hole",
+        "find_odd_antihole",
+        "induced_subgraph",
+        "is_chordal",
+    )
+    for name in names:
 
         def counted(*args, _name=name, _original=getattr(perfcode.solver, name)):
             calls[_name] += 1
@@ -219,7 +227,17 @@ def test_c4_certificate_runs_both_searches(monkeypatch):
     solution = solve(disjoint_union(cycle_graph(6), path_graph(3)))
     assert solution.diagnostics == SquareDiagnostics(False, True, True)
     # the hole verdict needs no witness, so the polynomial test stands in for find_hole
-    assert calls == Counter(_has_hole=1, find_odd_antihole=1, induced_subgraph=2)
+    # one copy, of the non-chordal component's square, for the diagnostics
+    assert calls == Counter(_has_hole=1, find_odd_antihole=1, induced_subgraph=1)
+
+
+def test_disconnected_chordal_graph_is_solved_in_place(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    g = disjoint_union(path_graph(3), path_graph(4), from_edge_list(1, []))
+    solution = solve(g)
+    assert solution.vertices == (1, 3, 6, 7)
+    assert solution.diagnostics == SquareDiagnostics(True, True, True)
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize(
@@ -434,6 +452,7 @@ def test_auto_mode_does_not_run_mwis_exact(monkeypatch):
     import perfcode.solver
 
     monkeypatch.setattr(perfcode.solver, "mwis_exact", None)
+    monkeypatch.setattr(perfcode.solver, "_mwis_exact", None)
     solution = solve(disjoint_union(cycle_graph(6), path_graph(4)), (1, 2, 3, 4, 5, 6, 1, 1, 1, 1))
     assert solution.vertices == (0, 3, 6, 9) and solution.path == "exact-fallback"
 
@@ -488,3 +507,38 @@ def test_long_cycles_need_no_recursion(make, n, path, expected):
 def test_mwis_exact_needs_no_recursion():
     result = mwis_exact(from_edge_list(1500, []), [1] * 1500)
     assert result.vertices == tuple(range(1500)) and result.value == 1500
+
+
+#: Many small components, as (piece, copies); the squares of C6 are not
+#: chordal, and C7 has no e.d.
+MANY_COMPONENTS = {
+    "3000 isolated vertices": (from_edge_list(1, []), 3000),
+    "1500-edge matching": (path_graph(2), 1500),
+    "300 C6": (cycle_graph(6), 300),
+    "300 C7": (cycle_graph(7), 300),
+}
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("mode", ["auto", "exact", "chordal"])
+@pytest.mark.parametrize("name", list(MANY_COMPONENTS))
+def test_many_components_match_the_oracle(name, mode):
+    # per-component work must not grow with n: each component is solved on
+    # masks of the one square, with no length-n list built per component
+    piece, copies = MANY_COMPONENTS[name]
+    g = disjoint_union(*[piece] * copies)
+    piece_user = tuple(range(1, piece.n + 1))
+    for piece_weights in (None, piece_user):
+        user = None if piece_weights is None else piece_weights * copies
+        expected = oracle_ed(piece, piece_weights)
+        if mode == "chordal" and not is_chordal(square(piece))[0]:
+            with pytest.raises(ValueError, match="chordal"):
+                solve(g, user, mode)
+            continue
+        solution = solve(g, user, mode)
+        assert solution.exists == expected.exists
+        if expected.exists:
+            assert verify_ed(g, solution.vertices)
+            assert len(solution.vertices) == copies * len(expected.vertices)
+        if piece_weights is not None and expected.exists:
+            assert solution.user_weight == copies * expected.user_weight

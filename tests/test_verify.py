@@ -48,6 +48,11 @@ def test_gen_random_graph_rejects_bad_p():
         gen_random_graph(4, 1.5, 0)
 
 
+def test_gen_random_graph_rejects_negative_n():
+    with pytest.raises(ValueError, match="vertex count"):
+        gen_random_graph(-1, 0.5, 0)
+
+
 def test_gen_random_chordal_single_vertex():
     g = gen_random_chordal(1, 0.5, 0)
     assert g.n == 1 and g.edge_count == 0

@@ -90,27 +90,71 @@ def witness_is_valid(g: Graph, witness: PatternWitness) -> bool:
     )
 
 
-@lru_cache(maxsize=32)
-def _constraint_table(kind: str) -> tuple[tuple[tuple[int, bool], ...], ...]:
-    """Per position i, the (p, adjacent?) pair for every later position p.
+#: The lex-leader pairs of the fixed shapes, one per automorphism != id:
+#: the house's reflection; the domino's reflections and their product;
+#: the bull's reflection.
+_FIXED_LEX_LEADER_PAIRS = {
+    "house": {(0, 4)},
+    "domino": {(0, 1), (0, 3), (0, 4)},
+    "bull": {(0, 1)},
+}
 
-    Bounded, because callers choose the kinds (any path or cycle length).
+
+def _lex_leader_pairs(kind: str) -> frozenset[tuple[int, int]]:
+    """The pairs (i, p), i < p, with at[i] < at[p] in the orbit-least embedding.
+
+    For an automorphism s != id of the pattern, let i be the first position
+    s moves; then s(i) > i, and the embedding (at[s(0)], ..., at[s(k-1)])
+    agrees with `at` before i, so `at` is the least of its automorphism
+    orbit exactly when at[i] < at[s(i)] for every such s (the lex-leader
+    constraints of Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
+    predicates for search problems", KR 1996). The path and cycle families,
+    whose length callers choose, have closed forms.
+    """
+    k = pattern_graph(kind).n
+    if kind.startswith("P"):
+        # the reversal
+        return frozenset({(0, k - 1)} if k > 1 else ())
+    if kind.startswith(("C", "co-C")):
+        # rotations and the reflections that move 0, then the one fixing 0
+        return frozenset({(0, p) for p in range(1, k)} | {(1, k - 1)})
+    return frozenset(_FIXED_LEX_LEADER_PAIRS[kind])
+
+
+@lru_cache(maxsize=32)
+def _constraint_table(kind: str) -> tuple[tuple[tuple[int, bool, bool], ...], ...]:
+    """Per position i, the (p, adjacent?, ordered?) triple for every later position p.
+
+    `ordered` marks the lex-leader pairs of :func:`_lex_leader_pairs`, where
+    p must exceed the vertex placed at i. Bounded, because callers choose
+    the kinds (any path or cycle length).
     """
     pattern = pattern_graph(kind)
     k = pattern.n
-    return tuple(tuple((p, pattern.adjacent(i, p)) for p in range(i + 1, k)) for i in range(k))
+    ordered = _lex_leader_pairs(kind)
+    return tuple(
+        tuple((p, pattern.adjacent(i, p), (i, p) in ordered) for p in range(i + 1, k))
+        for i in range(k)
+    )
 
 
 def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
-    """Every induced embedding of a fixed pattern, in lexicographic order.
+    """The least induced embedding in each automorphism orbit, in lexicographic order.
 
     Iterative depth-first search over pattern positions with forward
     checking. Every position keeps its candidates as a bitmask: the
     unused vertices adjacent to each placed position the pattern joins it
-    to and nonadjacent to every other placed position. Placing a vertex
-    narrows the masks of all later positions, and is undone at once if
-    one of them empties. Candidates are tried lowest id first, so
+    to, nonadjacent to every other placed position, and above at[i] for
+    each lex-leader pair (i, p) of :func:`_lex_leader_pairs`. Placing a
+    vertex narrows the masks of all later positions, and is undone at once
+    if one of them empties. Candidates are tried lowest id first, so
     embeddings come out as ascending tuples.
+
+    Those pairs hold exactly for the embeddings that are least in their
+    orbit under the pattern's automorphisms, so each orbit comes out once
+    (one of the 10 orientations of a C5, say). The least embedding of all
+    is least in its orbit too, so the first one yielded is still the
+    least embedding of the pattern.
     """
     table = _constraint_table(kind)
     k = len(table)
@@ -139,8 +183,10 @@ def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
         seen = masks[v]
         unseen = ~(seen | low)
         nxt = cands[i + 1]
-        for p, adjacent in table[i]:
+        for p, adjacent, ordered in table[i]:
             narrowed = row[p] & (seen if adjacent else unseen)
+            if ordered:
+                narrowed &= -(low << 1)
             if not narrowed:
                 break
             nxt[p] = narrowed
@@ -151,7 +197,9 @@ def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
 def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
     """Least induced embedding of any kind :func:`pattern_graph` builds, or None.
 
-    The first embedding :func:`_embeddings` yields.
+    The first embedding :func:`_embeddings` yields: that search keeps one
+    embedding per automorphism orbit, the least, so the least of all is
+    among them.
     """
     first = next(_embeddings(g, kind), None)
     return None if first is None else PatternWitness(kind, first)
@@ -601,10 +649,22 @@ def class_membership(g: Graph, class_tag: str) -> ClassReport:
     return ClassReport(class_tag, not violations, violations)
 
 
-#: Each class's patterns, fewest vertices first and ties in listed order:
-#: a small pattern is the cheaper search, and in dense graphs the likelier hit.
+#: The classes whose hole patterns :func:`is_class_member` replaces by the
+#: polynomial hole test: (P6,HHD)-free is (P6, house, hole, domino)-free,
+#: and a hole of length 5 or 6 is a C5 or a C6, while any longer hole
+#: contains an induced P6.
+_HOLE_PATTERNS = {"(P6,HHD)-free": ("C5", "C6")}
+
+#: Each class's remaining patterns, fewest vertices first and ties in listed
+#: order: a small pattern is the cheaper search, and in dense graphs the
+#: likelier hit.
 _SEARCH_ORDER = {
-    tag: tuple(sorted(kinds, key=lambda kind: pattern_graph(kind).n))
+    tag: tuple(
+        sorted(
+            (kind for kind in kinds if kind not in _HOLE_PATTERNS.get(tag, ())),
+            key=lambda kind: pattern_graph(kind).n,
+        )
+    )
     for tag, kinds in _CLASS_PATTERNS.items()
 }
 
@@ -612,13 +672,17 @@ _SEARCH_ORDER = {
 def is_class_member(g: Graph, class_tag: str) -> bool:
     """The verdict of ``class_membership(g, class_tag).member``, as a bare bool.
 
-    Stops at the first forbidden pattern found.
-    Patterns are searched fewest vertices first, ties in listed order:
-    C5, house, P6, C6, domino for (P6,HHD)-free; house, P6 for
-    (P6,house)-free; bull, P6 for (P6,bull)-free. "chordal" runs the
-    LexBFS test.
+    Stops at the first forbidden pattern found. For (P6,HHD)-free the
+    polynomial hole test :func:`_has_hole` runs first, in place of the C5
+    and C6 searches (a hole of length 5 or 6 is one of them, and a longer
+    hole contains an induced P6). Patterns are then searched fewest
+    vertices first, ties in listed order: house, P6, domino for
+    (P6,HHD)-free; house, P6 for (P6,house)-free; bull, P6 for
+    (P6,bull)-free. "chordal" runs the LexBFS test.
     """
     _check_class_tag(class_tag)
     if class_tag == "chordal":
         return is_chordal(g)[0]
+    if class_tag in _HOLE_PATTERNS and _has_hole(g):
+        return False
     return all(find_pattern(g, kind) is None for kind in _SEARCH_ORDER[class_tag])

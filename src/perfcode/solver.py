@@ -140,6 +140,7 @@ def efficient_dominating_sets(g: Graph) -> Iterator[tuple[int, ...]]:
     is covered, so w is never covered.
     """
     closed = [g.closed_mask(v) for v in range(g.n)]
+    members = [_mask_to_tuple(c) for c in closed]
     full = (1 << g.n) - 1
     stack = [(0, 0)]  # (covered, chosen)
     while stack:
@@ -152,7 +153,7 @@ def efficient_dominating_sets(g: Graph) -> Iterator[tuple[int, ...]]:
         while rest:
             low = rest & -rest
             u = low.bit_length() - 1
-            cands = [v for v in _mask_to_tuple(closed[u]) if not closed[v] & covered]
+            cands = [v for v in members[u] if not closed[v] & covered]
             if pick is None or len(cands) < len(pick):
                 pick = cands
                 if len(cands) <= 1:

@@ -207,12 +207,12 @@ def _split_seed(master: int, index: int) -> int:
 def _find_induced_c4s(g: Graph) -> list[tuple[int, int, int, int]]:
     """All induced 4-cycles, as (a, b, c, d) with edges ab, bc, cd, da.
 
-    One orientation per cycle: a is its least vertex and b < d; cycles
-    are listed in the lexicographic order of their sorted vertex sets.
+    One orientation per cycle: a is its least vertex and b < d, which is
+    the orbit-least embedding :func:`~perfcode.recognition._embeddings`
+    yields for each one; cycles are listed in the lexicographic order of
+    their sorted vertex sets.
     """
-    return sorted(
-        (c for c in _embeddings(g, "C4") if c[0] < min(c[1:]) and c[1] < c[3]), key=sorted
-    )
+    return sorted(_embeddings(g, "C4"), key=sorted)
 
 
 def _counterexample(g: Graph, theorem: str, ed, witness: PatternWitness, **extra) -> TrialVerdict:
@@ -246,7 +246,8 @@ def check_theorem(g: Graph, theorem: str, budget: int = DEFAULT_VERIFY_BUDGET) -
 
     The class hypothesis is a yes/no :func:`is_class_member` test, which
     stops at the first forbidden pattern found and searches the patterns
-    with the fewest vertices first; only a counterexample's recheck runs
+    with the fewest vertices first (for T1 the polynomial hole test stands
+    in for the C5 and C6 searches); only a counterexample's recheck runs
     the full :func:`class_membership`. Budget overruns (hole / antihole
     search on too-large graphs, or all-e.d. enumeration beyond the cap)
     yield an explicit skip verdict. T3 and C4-dom quantify over every e.d.;

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +36,10 @@ from perfcode import (
 from perfcode.recognition import (
     CLASS_TAGS,
     _chordal_peo,
+    _constraint_table,
     _embeddings,
     _has_hole,
+    _lex_leader_pairs,
     _lexbfs,
     find_all_holes,
     find_all_odd_antiholes,
@@ -152,12 +154,46 @@ def test_pattern_searches_agree_with_brute_force(ne):
 def test_find_pattern_returns_least_embedding(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
-    for kind in ("P4", "P6", "C4", "C5", "house", "domino", "bull"):
+    for kind in ("P4", "P6", "C3", "C4", "C5", "C6", "house", "domino", "bull"):
         k, pat = pattern_set(kind)
         found = find_pattern(g, kind)
         assert (None if found is None else found.vertices) == bf.least_induced(n, edges, k, pat)
     k, pat = pattern_set("C4")
-    assert list(_embeddings(g, "C4")) == list(bf.induced_embeddings(n, edges, k, pat))
+    # one orientation per C4: the least of its eight
+    assert list(_embeddings(g, "C4")) == [
+        e for e in bf.induced_embeddings(n, edges, k, pat) if e[0] < min(e[1:]) and e[1] < e[3]
+    ]
+
+
+def automorphism_pairs(kind):
+    """(i, s(i)) for the first position i each automorphism s != id moves, by brute force."""
+    k, edges = pattern_set(kind)
+    pairs = set()
+    for s in permutations(range(k)):
+        if s != tuple(range(k)) and {frozenset(s[v] for v in e) for e in edges} == edges:
+            i = next(i for i in range(k) if s[i] != i)
+            pairs.add((i, s[i]))
+    return pairs
+
+
+LEX_LEADER_KINDS = (
+    "P1", "P2", "P4", "P6", "P7", "C3", "C4", "C5", "C6", "C7", "co-C5", "co-C6", "co-C7",
+    "house", "domino", "bull",
+)
+
+
+@pytest.mark.parametrize("kind", LEX_LEADER_KINDS)
+def test_lex_leader_pairs_match_the_automorphisms(kind):
+    expected = automorphism_pairs(kind)
+    assert _lex_leader_pairs(kind) == expected
+    table = _constraint_table(kind)
+    assert {(i, p) for i, row in enumerate(table) for p, _, ordered in row if ordered} == expected
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_pattern_searches_for_long_patterns():
+    assert find_pattern(cycle_graph(300), "C300") == PatternWitness("C300", tuple(range(300)))
+    assert find_induced_path(path_graph(300), 300) == PatternWitness("P300", tuple(range(300)))
 
 
 EMBEDDING_DIGEST = "fa7b3a56cc20c23940231d5cc305f183019a913bb552122d6bec0148136756cf"
@@ -652,13 +688,37 @@ def test_class_membership_rejects_unknown_tag():
         is_class_member(path_graph(3), "planar")
 
 
-@given(edge_sets(max_n=9))
-@settings(max_examples=150, deadline=None)
-def test_is_class_member_matches_class_membership(ne):
-    g = from_edge_list(*ne)
+def _assert_class_tests_agree(g):
     for h in (g, square(g)):
         for tag in CLASS_TAGS:
             assert is_class_member(h, tag) == class_membership(h, tag).member
+
+
+@given(edge_sets(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_is_class_member_matches_class_membership(ne):
+    _assert_class_tests_agree(from_edge_list(*ne))
+
+
+#: Graphs and whether each is (P6,HHD)-free.
+HHD_TABLE = {
+    # holes with no C5 or C6: the P6 search decides
+    "C7": (cycle_graph(7), False),
+    "C8": (cycle_graph(8), False),
+    "C5": (cycle_graph(5), False),
+    "C6": (cycle_graph(6), False),
+    "house": (pattern_graph("house"), False),
+    "domino": (pattern_graph("domino"), False),
+    "P6": (path_graph(6), False),
+    "complete 4-sun": (complete_sun(4), True),
+}
+
+
+@pytest.mark.parametrize("name", list(HHD_TABLE))
+def test_is_class_member_matches_class_membership_on_named_graphs(name):
+    g, member = HHD_TABLE[name]
+    assert is_class_member(g, "(P6,HHD)-free") == member
+    _assert_class_tests_agree(g)
 
 
 @given(edge_sets(max_n=8))

@@ -123,37 +123,48 @@ def test_skip_verdicts_over_budget():
 
 @pytest.fixture
 def searched(monkeypatch):
-    """The kinds of the pattern searches the class test runs, in order."""
+    """The kinds of the pattern searches and hole tests a trial runs, in order."""
     kinds = []
     embeddings = recognition._embeddings
+    has_hole = recognition._has_hole
 
     def counting(g, kind):
         kinds.append(kind)
         return embeddings(g, kind)
 
+    def counting_holes(g):
+        kinds.append("hole")
+        return has_hole(g)
+
     monkeypatch.setattr(recognition, "_embeddings", counting)
+    monkeypatch.setattr(recognition, "_has_hole", counting_holes)
     return kinds
 
 
 def test_class_test_stops_at_the_first_violation(searched):
-    # C5 and P6 side by side: C5 has fewer vertices, so it is searched first
+    # C5 and P6 side by side: the hole test runs first, and finds the C5
     verdict = check_theorem(disjoint_union(cycle_graph(5), path_graph(6)), "T1")
     assert verdict.status == "vacuous" and verdict.reason == "class"
-    assert searched == ["C5"]
+    assert searched == ["hole"]
     searched.clear()
     assert check_theorem(cycle_graph(6), "T1").reason == "class"
-    assert searched == ["C5", "house", "P6", "C6"]
+    assert searched == ["hole"]
+    searched.clear()
+    # no hole, house or P6: the domino search, last, finds it
+    assert check_theorem(recognition.pattern_graph("domino"), "T1").reason == "class"
+    assert searched == ["hole", "house", "P6", "domino"]
 
 
 def test_class_test_of_a_member_runs_every_pattern_once(searched):
     assert check_theorem(path_graph(4), "T1").status == "held"
-    assert searched == ["C5", "house", "P6", "C6", "domino"]
+    assert searched == ["hole", "house", "P6", "domino"]
     searched.clear()
+    # the last hole test is the perfection check of the square
     assert check_theorem(path_graph(4), "T4").status == "held"
-    assert searched == ["house", "P6"]
+    assert searched == ["house", "P6", "hole"]
     searched.clear()
     assert check_theorem(path_graph(4), "T5").status == "held"
-    assert searched == ["bull", "P6"]
+    assert searched == ["bull", "P6", "hole"]
 
 
 def test_check_theorem_rejects_unknown_id():

@@ -43,7 +43,6 @@ from .mwis import MwisResult, mwis_chordal, mwis_exact, wed_weights
 from .solver import (
     EDSolution,
     SquareDiagnostics,
-    BUDGET_ENV_VAR,
     oracle_ed,
     solve,
     verify_ed,
@@ -96,7 +95,6 @@ __all__ = [
     "wed_weights",
     "EDSolution",
     "SquareDiagnostics",
-    "BUDGET_ENV_VAR",
     "solve",
     "oracle_ed",
     "verify_ed",

@@ -18,7 +18,7 @@ from pathlib import Path
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import square
 from .recognition import CLASS_TAGS, class_membership
-from .solver import BUDGET_ENV_VAR, DEFAULT_VERIFY_BUDGET, default_verify_budget, solve
+from .solver import DEFAULT_VERIFY_BUDGET, solve
 from .verify import THEOREM_IDS, TrialConfig, gen_random_chordal, gen_random_graph, run_campaign
 
 EXIT_OK = 0
@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--budget",
         type=int,
-        help="max n for exponential searches "
-        f"(default: ${BUDGET_ENV_VAR} or {DEFAULT_VERIFY_BUDGET})",
+        default=DEFAULT_VERIFY_BUDGET,
+        help=f"max n for exponential searches (default: {DEFAULT_VERIFY_BUDGET})",
     )
     p_verify.add_argument("--json", action="store_true")
 
@@ -113,10 +113,13 @@ def main(argv=None) -> int:
     except (OSError, DimacsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def _load(path: Path):
-    return parse_dimacs(path.read_text(), source=str(path))
+    return parse_dimacs(path.read_text())
 
 
 def _ids_1based(vertices) -> list[int]:
@@ -195,7 +198,6 @@ def _counterexample_1based(record: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    budget = args.budget if args.budget is not None else default_verify_budget()
     try:
         config = TrialConfig(
             theorem=args.theorem,
@@ -204,7 +206,7 @@ def _cmd_verify(args) -> int:
             n_range=(args.nmin, args.nmax),
             p_range=(args.pmin, args.pmax),
             exhaustive_n=args.exhaustive_n,
-            budget=budget,
+            budget=args.budget,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -23,10 +23,9 @@ class DimacsError(ValueError):
 class GraphFile:
     graph: Graph
     weights: tuple[int, ...] | None
-    source: str = "<string>"
 
 
-def parse_dimacs(text: str, source: str = "<string>") -> GraphFile:
+def parse_dimacs(text: str) -> GraphFile:
     n = None
     edges: list[tuple[int, int]] = []
     weight_map: dict[int, int] = {}
@@ -74,7 +73,7 @@ def parse_dimacs(text: str, source: str = "<string>") -> GraphFile:
     weights = None
     if weight_map:
         weights = tuple(weight_map.get(v, 1) for v in range(n))
-    return GraphFile(from_edge_list(n, edges), weights, source)
+    return GraphFile(from_edge_list(n, edges), weights)
 
 
 def _parse_ids(parts: list[str], count: int, lineno: int, n: int) -> tuple[int, ...]:

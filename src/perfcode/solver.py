@@ -23,7 +23,6 @@ when the complement of that component square has a hole.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -51,23 +50,12 @@ from .recognition import (
     is_chordal,  # not called here; bench/tracing.py wraps it by this name
 )
 
-#: Environment variable overriding the default max n for the hole /
-#: odd-antihole diagnostics run by solve() (the odd-antihole search is
-#: exponential when the complement of a square has a hole).
-BUDGET_ENV_VAR = "PERFCODE_VERIFY_BUDGET"
+#: Max n for the hole / odd-antihole diagnostics run by solve() (the
+#: odd-antihole search is exponential when the complement of a square has
+#: a hole).
 DEFAULT_VERIFY_BUDGET = 30
 
 SOLVE_MODES = ("auto", "chordal", "exact", "oracle")
-
-
-def default_verify_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_VERIFY_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -256,7 +244,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     every component square, the reference MWIS route; "oracle" delegates
     to :func:`oracle_ed`. Chordality is always reported; the hole /
     odd-antihole verdicts are skipped (None) when the whole graph's n is
-    above the verification budget (PERFCODE_VERIFY_BUDGET, default 30).
+    above the verification budget :data:`DEFAULT_VERIFY_BUDGET` (30).
     Within it (see :class:`SquareDiagnostics`) they are read off the
     component squares, since holes and antiholes are connected: a chordal
     square is hole-free and odd-antihole-free with no search, and each
@@ -276,7 +264,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     parts = _lexbfs(sq, True)
     non_chordal = [mask for mask, order in parts if order is None]
     hole_free = odd_antihole_free = None
-    if g.n <= default_verify_budget():
+    if g.n <= DEFAULT_VERIFY_BUDGET:
         copies = [
             sq if len(parts) == 1 else induced_subgraph(sq, _mask_to_tuple(mask))[0]
             for mask in non_chordal

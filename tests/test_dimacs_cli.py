@@ -1,15 +1,19 @@
 import json
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import disjoint_union, edge_sets
 from perfcode import (
+    CLASS_TAGS,
+    THEOREM_IDS,
     DimacsError,
     cycle_graph,
     parse_dimacs,
     path_graph,
+    solve,
     square,
     write_dimacs,
 )
@@ -168,8 +172,7 @@ PINNED_C6_P4_11K2 = (
         ([cycle_graph(6), path_graph(4)] + [path_graph(2)] * 11, 0, PINNED_C6_P4_11K2),
     ],
 )
-def test_cli_solve_disconnected_stdout_is_pinned(tmp_path, capsys, monkeypatch, parts, code, expected):
-    monkeypatch.delenv("PERFCODE_VERIFY_BUDGET", raising=False)
+def test_cli_solve_disconnected_stdout_is_pinned(tmp_path, capsys, parts, code, expected):
     g = disjoint_union(*parts)
     path = tmp_path / "union.col"
     path.write_text(write_dimacs(g, tuple(3 * v % 7 + 1 for v in range(g.n))))
@@ -177,12 +180,17 @@ def test_cli_solve_disconnected_stdout_is_pinned(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_cli_solve_long_cycle(tmp_path, capsys):
+    # C_3000 with unit weights has three e.d.s of equal weight; _precedes
+    # breaks the tie the way the exact MWIS branch-and-bound would
     path = tmp_path / "c3000.col"
     path.write_text(write_dimacs(cycle_graph(3000)))
     assert main(["solve", str(path)]) == 0
     out = capsys.readouterr().out
     assert "exists: yes" in out and "path: exact-fallback" in out
+    unit = [1] * 300
+    assert solve(cycle_graph(300), unit) == solve(cycle_graph(300), unit, mode="exact")
 
 
 def test_cli_solve_missing_weights_is_error(p7_file, capsys):
@@ -281,6 +289,107 @@ def test_cli_parse_error_exit_1(tmp_path, capsys):
     path.write_text("p edge 2 1\ne 1 1\n")
     assert main(["solve", str(path)]) == 1
     assert "self-loop" in capsys.readouterr().err
+
+
+def test_cli_out_of_memory_exit_1(monkeypatch, p7_file, capsys):
+    # a header such as "p edge 300000000 0" exhausts memory in from_edge_list
+    import perfcode.cli as cli
+
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_dimacs", exhausted)
+    assert main(["solve", str(p7_file)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_cli_verify_budget_flag(capsys):
+    args = ["verify-theorems", "--theorem", "T2", "--trials", "2", "--nmax", "12", "--json"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["budget"] == 30
+    assert main(args + ["--budget", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["budget"] == 12
+    assert main(args + ["--budget", "11"]) == 2  # the n range exceeds the budget
+    capsys.readouterr()
+
+
+_ids = st.integers(-1, 10)
+_bad_line = st.one_of(
+    # no digits in the random text, so no header can ask for a large n
+    st.text(alphabet="cepnx -.\t", max_size=8),
+    st.sampled_from(["p edge 3", "p graph 3 0", "e 1", "e 1 2 3", "e a b", "n 1", "n 1 2 3"]),
+    st.builds("p edge {} {}".format, st.integers(-1, 8), st.integers(-1, 20)),
+    st.builds("e {} {}".format, _ids, _ids),
+    st.builds("n {} {}".format, _ids, st.integers(-1, 9)),
+)
+
+
+@st.composite
+def _dimacs_texts(draw):
+    """A header and well-formed lines in range of it, at times with one bad line.
+
+    Header n <= 8 and ids in -1..10, so every file is small to build.
+    """
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    weights = draw(st.dictionaries(st.integers(1, n), st.integers(0, 9))) if n else {}
+    body = [f"e {u} {v}" for u, v in edges] + [f"n {v} {w}" for v, w in weights.items()]
+    body += draw(st.lists(st.builds("c {}".format, st.text(alphabet="abc xyz", max_size=6))))
+    lines = [f"p edge {n} {draw(st.integers(0, 20))}"] + draw(st.permutations(body))
+    if not draw(st.integers(0, 2)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_bad_line))
+    return "\n".join(lines) + "\n"
+
+
+def _flag(name, values):
+    """An optional command-line flag: nothing, or the flag and one value."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+_file_commands = st.one_of(
+    st.tuples(
+        st.just(["solve"]),
+        _flag("--weights", st.sampled_from(["from-file", "unit"])),
+        _flag("--force-path", st.sampled_from(["chordal", "exact", "oracle"])),
+        st.sampled_from([[], ["--json"]]),
+    ),
+    st.tuples(
+        st.just(["check-class"]),
+        st.sampled_from(CLASS_TAGS).map(lambda tag: ["--class", tag]),
+        st.sampled_from([[], ["--json"]]),
+    ),
+    st.tuples(st.just(["square"])),
+)
+_verify_command = st.tuples(
+    st.just(["verify-theorems"]),
+    st.sampled_from(THEOREM_IDS).map(lambda t: ["--theorem", t]),
+    _flag("--trials", st.integers(-1, 2)),
+    _flag("--seed", st.integers(0, 5)),
+    _flag("--nmin", st.integers(-1, 8)),
+    _flag("--nmax", st.integers(-1, 8)),
+    _flag("--pmin", st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5])),
+    _flag("--pmax", st.sampled_from([-0.5, 0.0, 0.7, 1.0, 1.5])),
+    _flag("--exhaustive-n", st.integers(-1, 3)),
+    _flag("--budget", st.integers(-1, 10)),
+    st.sampled_from([[], ["--json"]]),
+)
+
+
+@given(text=_dimacs_texts(), command=st.one_of(_file_commands, _verify_command))
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_exit_codes_on_generated_input(tmp_path, capsys, text, command):
+    path = tmp_path / "g.col"
+    path.write_text(text)
+    argv = [token for part in command for token in part]
+    if argv[0] != "verify-theorems":
+        argv.insert(1, str(path))
+    assert main(argv) in (0, 1, 2, 3, 4)
+    capsys.readouterr()
 
 
 @pytest.mark.usefixtures("time_limit")

@@ -121,15 +121,12 @@ def test_solve_forced_paths():
         solve(cycle_graph(6), mode="chordal")
 
 
-def test_solve_respects_verify_budget(monkeypatch):
-    monkeypatch.setenv("PERFCODE_VERIFY_BUDGET", "3")
-    solution = solve(path_graph(4))
-    assert solution.diagnostics.chordal is not None
+def test_solve_respects_verify_budget():
+    # n = 31 is one past DEFAULT_VERIFY_BUDGET
+    solution = solve(path_graph(31))
+    assert solution.diagnostics.chordal is True
     assert solution.diagnostics.hole_free is None
     assert solution.diagnostics.odd_antihole_free is None
-    monkeypatch.setenv("PERFCODE_VERIFY_BUDGET", "not-a-number")
-    with pytest.raises(ValueError, match="PERFCODE_VERIFY_BUDGET"):
-        solve(path_graph(4))
 
 
 def _assert_diagnostics_of_whole_square(g):
@@ -171,10 +168,9 @@ def test_diagnostics_see_every_component(g, expected):
     assert solve(g).diagnostics == expected
 
 
-def test_verify_budget_applies_to_the_whole_graph(monkeypatch):
-    # every component is under the budget, the whole graph is not
-    monkeypatch.setenv("PERFCODE_VERIFY_BUDGET", "6")
-    solution = solve(disjoint_union(cycle_graph(6), cycle_graph(5)))
+def test_verify_budget_applies_to_the_whole_graph():
+    # every component is under the budget of 30, the whole graph (n = 31) is not
+    solution = solve(disjoint_union(cycle_graph(6), *[cycle_graph(5)] * 5))
     assert solution.diagnostics == SquareDiagnostics(False, None, None)
 
 
@@ -274,14 +270,13 @@ def _pinned_solve_inputs(count=1500):
         yield from_edge_list(n, sorted(edges)), tuple(rng.randint(0, 5) for _ in range(n))
 
 
-def test_solve_outputs_are_pinned(monkeypatch):
+def test_solve_outputs_are_pinned():
     """Whole solve results, diagnostics included, on 6,000 calls.
 
     The digest was recorded at commit fcfc125, before the diagnostics were
     read off the chordality certificates and before a connected graph
     stopped being copied.
     """
-    monkeypatch.delenv("PERFCODE_VERIFY_BUDGET", raising=False)
     digest = hashlib.sha256()
     for g, weights in _pinned_solve_inputs():
         for mode in ("auto", "exact"):

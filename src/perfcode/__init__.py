@@ -11,17 +11,13 @@ from .graph import (
     Graph,
     closed_neighborhood_weights,
     complement,
-    complete_graph,
     complete_sun,
     connected_components,
     cycle_graph,
-    distance,
     from_edge_list,
     induced_subgraph,
-    is_independent_set,
     path_graph,
     square,
-    INFINITY,
 )
 from .recognition import (
     ClassReport,
@@ -29,7 +25,6 @@ from .recognition import (
     CLASS_TAGS,
     class_membership,
     find_hole,
-    find_induced_path,
     find_odd_antihole,
     find_pattern,
     is_chordal,
@@ -62,23 +57,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "INFINITY",
     "from_edge_list",
-    "distance",
     "square",
     "closed_neighborhood_weights",
     "complement",
     "induced_subgraph",
     "connected_components",
-    "is_independent_set",
     "cycle_graph",
     "path_graph",
-    "complete_graph",
     "complete_sun",
     "PatternWitness",
     "ClassReport",
     "CLASS_TAGS",
-    "find_induced_path",
     "find_pattern",
     "find_hole",
     "find_odd_antihole",

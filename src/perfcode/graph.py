@@ -14,13 +14,10 @@ re-validated.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 logger = logging.getLogger(__name__)
-
-INFINITY = float("inf")
 
 
 class Graph:
@@ -29,8 +26,7 @@ class Graph:
     ``Graph(n, masks)`` keeps one neighbor bitmask per vertex (bit u of
     masks[v] set iff v~u), readable as the tuple ``masks``, and checks that
     they describe a simple graph; :func:`from_edge_list` builds one from
-    edges. Hot loops index ``masks`` directly rather than calling
-    :meth:`neighbor_mask` once per bit.
+    edges. Callers index ``masks`` directly and iterate ``range(n)``.
     """
 
     __slots__ = ("n", "masks")
@@ -84,16 +80,9 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return (self.masks[u] >> v) & 1 == 1
 
-    def neighbor_mask(self, v: int) -> int:
-        """Open neighborhood as a bitmask."""
-        return self.masks[v]
-
     def closed_mask(self, v: int) -> int:
         """Closed neighborhood N[v] as a bitmask."""
         return self.masks[v] | (1 << v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending lexicographic order."""
@@ -139,25 +128,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if duplicates:
         logger.warning("collapsed %d duplicate edge(s)", duplicates)
     return Graph._built(tuple(masks))
-
-
-def distance(g: Graph, u: int, v: int) -> int | float:
-    """Shortest-path distance between u and v; INFINITY when disconnected."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex pair ({u}, {v}) out of range [0, {g.n})")
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = deque([(u, 0)])
-    while frontier:
-        x, d = frontier.popleft()
-        for y in g.neighbors(x):
-            if y == v:
-                return d + 1
-            if not (seen >> y) & 1:
-                seen |= 1 << y
-                frontier.append((y, d + 1))
-    return INFINITY
 
 
 def square(g: Graph) -> Graph:
@@ -225,23 +195,6 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return components
 
 
-def is_independent_set(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff no edge of g joins two members of the set."""
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range [0, {g.n})")
-        mask |= 1 << v
-    v_mask = mask
-    while v_mask:
-        low = v_mask & -v_mask
-        v = low.bit_length() - 1
-        if g.neighbor_mask(v) & mask:
-            return False
-        v_mask ^= low
-    return True
-
-
 # -- small helpers shared across modules ------------------------------------
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
@@ -264,10 +217,6 @@ def cycle_graph(k: int) -> Graph:
 def path_graph(k: int) -> Graph:
     """P_k on vertices 0..k-1 in path order."""
     return from_edge_list(k, [(i, i + 1) for i in range(k - 1)])
-
-
-def complete_graph(k: int) -> Graph:
-    return from_edge_list(k, list(combinations(range(k), 2)))
 
 
 def complete_sun(k: int) -> Graph:

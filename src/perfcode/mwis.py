@@ -27,7 +27,17 @@ def _check_weights(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     w = tuple(weights)
     if len(w) != g.n:
         raise ValueError(f"weight vector has length {len(w)}, expected {g.n}")
+    # C-level passes for the usual case: a float, or any other non-int, in w
+    # makes the sum a non-int or raises. Only a failing vector walks the
+    # vertices, to name the culprit.
+    try:
+        if not w or (type(sum(w)) is int and min(w) >= 0):
+            return w
+    except TypeError:
+        pass
     for v, wv in enumerate(w):
+        if not isinstance(wv, int):
+            raise ValueError(f"non-integer weight {wv!r} at vertex {v}")
         if wv < 0:
             raise ValueError(f"negative weight {wv} at vertex {v}")
     return w

@@ -205,13 +205,6 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
     return None if first is None else PatternWitness(kind, first)
 
 
-def find_induced_path(g: Graph, k: int) -> PatternWitness | None:
-    """Least induced P_k witness (vertices in path order), or None."""
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
-    return find_pattern(g, f"P{k}")
-
-
 # -- chordality ---------------------------------------------------------------
 
 def _lexbfs(g: Graph, check: bool) -> list[list]:
@@ -678,11 +671,12 @@ def is_class_member(g: Graph, class_tag: str) -> bool:
     hole contains an induced P6). Patterns are then searched fewest
     vertices first, ties in listed order: house, P6, domino for
     (P6,HHD)-free; house, P6 for (P6,house)-free; bull, P6 for
-    (P6,bull)-free. "chordal" runs the LexBFS test.
+    (P6,bull)-free. "chordal" runs the LexBFS test alone and builds no
+    cycle witness.
     """
     _check_class_tag(class_tag)
     if class_tag == "chordal":
-        return is_chordal(g)[0]
+        return _chordal_peo(g) is not None
     if class_tag in _HOLE_PATTERNS and _has_hole(g):
         return False
     return all(find_pattern(g, kind) is None for kind in _SEARCH_ORDER[class_tag])

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,17 +8,14 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import edge_sets
 from perfcode import (
-    INFINITY,
     Graph,
     closed_neighborhood_weights,
     complement,
     complete_sun,
     connected_components,
     cycle_graph,
-    distance,
     from_edge_list,
     induced_subgraph,
-    is_independent_set,
     path_graph,
     square,
 )
@@ -73,9 +71,9 @@ def test_graph_rejects_bad_masks(n, masks, message):
 def test_graph_round_trips_through_masks(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
-    h = Graph(g.n, [g.neighbor_mask(v) for v in g.vertices()])
+    h = Graph(g.n, [g.masks[v] for v in range(g.n)])
     assert h == g and h.masks == g.masks
-    for v in h.vertices():
+    for v in range(h.n):
         expected = sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
         assert list(h.neighbors(v)) == expected
 
@@ -94,7 +92,7 @@ def test_accessors_match_edge_list(ne):
     assert list(g.edges()) == sorted((min(e), max(e)) for e in edges)
     assert g.edge_count == len(edges)
     dist = bf.distance_matrix(n, edges)
-    reach = {tuple(u for u in range(n) if dist[v][u] != INFINITY) for v in range(n)}
+    reach = {tuple(u for u in range(n) if dist[v][u] != math.inf) for v in range(n)}
     assert connected_components(g) == sorted(reach)
     h = from_edge_list(n, [(v, u) for u, v in reversed(edges)])
     assert h == g and hash(h) == hash(g)
@@ -124,22 +122,6 @@ def test_graph_is_immutable():
         g.n = 5
     with pytest.raises(AttributeError):
         g.masks = (0, 0, 0)
-
-
-def test_distance_on_path():
-    g = path_graph(4)
-    assert distance(g, 0, 3) == 3
-    assert distance(g, 1, 1) == 0
-
-
-def test_distance_disconnected():
-    g = from_edge_list(2, [])
-    assert distance(g, 0, 1) == INFINITY
-
-
-def test_distance_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        distance(path_graph(2), 0, 2)
 
 
 def test_square_of_p4():
@@ -204,13 +186,6 @@ def test_connected_components():
     g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
     assert connected_components(g) == [(0, 1, 2), (3, 4)]
     assert connected_components(from_edge_list(3, [])) == [(0,), (1,), (2,)]
-
-
-def test_is_independent_set():
-    p4 = path_graph(4)
-    assert is_independent_set(p4, [0, 3])
-    assert not is_independent_set(p4, [0, 1])
-    assert is_independent_set(p4, [])
 
 
 @given(edge_sets(max_n=12))

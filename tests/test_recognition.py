@@ -15,7 +15,6 @@ from perfcode import (
     connected_components,
     cycle_graph,
     find_hole,
-    find_induced_path,
     find_odd_antihole,
     find_pattern,
     from_edge_list,
@@ -33,6 +32,7 @@ from perfcode import (
     witness_is_valid,
     PatternWitness,
 )
+from perfcode import recognition
 from perfcode.recognition import (
     CLASS_TAGS,
     _chordal_peo,
@@ -88,7 +88,7 @@ def test_pattern_graph_rejects_bad_kinds(kind):
 
 
 def test_find_induced_path_in_p6_itself():
-    w = find_induced_path(path_graph(6), 6)
+    w = find_pattern(path_graph(6), "P6")
     assert w is not None and w.vertices == (0, 1, 2, 3, 4, 5)
 
 
@@ -98,8 +98,8 @@ def test_induced_paths_of_c6():
     edges = list(c6.edges())
     assert not bf.has_induced(6, edges, 6, bf.path_pattern(6))
     assert bf.has_induced(6, edges, 5, bf.path_pattern(5))
-    assert find_induced_path(c6, 6) is None
-    w = find_induced_path(c6, 5)
+    assert find_pattern(c6, "P6") is None
+    w = find_pattern(c6, "P5")
     assert w is not None and witness_is_valid(c6, w)
 
 
@@ -193,7 +193,7 @@ def test_lex_leader_pairs_match_the_automorphisms(kind):
 @pytest.mark.usefixtures("time_limit")
 def test_pattern_searches_for_long_patterns():
     assert find_pattern(cycle_graph(300), "C300") == PatternWitness("C300", tuple(range(300)))
-    assert find_induced_path(path_graph(300), 300) == PatternWitness("P300", tuple(range(300)))
+    assert find_pattern(path_graph(300), "P300") == PatternWitness("P300", tuple(range(300)))
 
 
 EMBEDDING_DIGEST = "fa7b3a56cc20c23940231d5cc305f183019a913bb552122d6bec0148136756cf"
@@ -216,7 +216,7 @@ def test_embeddings_are_pinned():
         for h in (g, square(g)):
             results = (
                 [find_pattern(h, kind) for kind in fixed_kinds],
-                [find_induced_path(h, k) for k in range(1, 8)],
+                [find_pattern(h, f"P{k}") for k in range(1, 8)],
                 [class_membership(h, tag) for tag in CLASS_TAGS],
                 _find_induced_c4s(h),
             )
@@ -227,7 +227,7 @@ def test_embeddings_are_pinned():
 def test_pattern_searches_on_a_long_cycle():
     c3000 = cycle_graph(3000)
     assert find_pattern(c3000, "C5") is None
-    assert find_induced_path(c3000, 6) == PatternWitness("P6", (0, 1, 2, 3, 4, 5))
+    assert find_pattern(c3000, "P6") == PatternWitness("P6", (0, 1, 2, 3, 4, 5))
 
 
 # -- chordality ---------------------------------------------------------------
@@ -686,6 +686,18 @@ def test_class_membership_rejects_unknown_tag():
         class_membership(path_graph(3), "planar")
     with pytest.raises(ValueError):
         is_class_member(path_graph(3), "planar")
+
+
+def test_is_class_member_chordal_builds_no_cycle_witness(monkeypatch):
+    def no_witness_search(*args):
+        raise AssertionError("witness search ran")
+
+    monkeypatch.setattr(recognition, "_peo_violations", no_witness_search)
+    with pytest.raises(AssertionError, match="witness search ran"):
+        class_membership(cycle_graph(5), "chordal")
+    assert not is_class_member(cycle_graph(5), "chordal")
+    assert not is_class_member(square(cycle_graph(30)), "chordal")
+    assert is_class_member(complete_sun(4), "chordal")
 
 
 def _assert_class_tests_agree(g):

@@ -24,6 +24,7 @@ from perfcode import (
     solve,
     square,
     verify_ed,
+    wed_weights,
     SquareDiagnostics,
 )
 from perfcode.solver import efficient_dominating_sets
@@ -105,6 +106,24 @@ def test_solve_empty_graph():
 def test_solve_weight_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         solve(path_graph(3), (1, 2))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e17, "3"])
+def test_non_integer_weights_are_rejected(bad):
+    """Every entry point that takes weights names the first non-integer one."""
+    g = path_graph(3)
+    w = (1, bad, 1)
+    message = r"non-integer weight .* at vertex 1"
+    for call in (
+        lambda: solve(g, w),
+        lambda: oracle_ed(g, w),
+        lambda: mwis_exact(g, w),
+        lambda: mwis_chordal(g, w, (0, 1, 2)),
+        lambda: wed_weights(square(g), (2, 3, 2), w),
+        lambda: wed_weights(square(g), w, (1, 1, 1)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_solve_rejects_unknown_mode():

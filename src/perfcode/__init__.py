@@ -34,7 +34,7 @@ from .recognition import (
     lexbfs_order,
     witness_is_valid,
 )
-from .mwis import MwisResult, mwis_chordal, mwis_exact, wed_weights
+from .mwis import MwisResult, mwis_chordal, mwis_exact
 from .solver import (
     EDSolution,
     SquareDiagnostics,
@@ -82,7 +82,6 @@ __all__ = [
     "MwisResult",
     "mwis_chordal",
     "mwis_exact",
-    "wed_weights",
     "EDSolution",
     "SquareDiagnostics",
     "solve",

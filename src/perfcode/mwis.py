@@ -189,22 +189,3 @@ def _precedes(sq: Graph, new: int, old: int, remaining: int) -> bool:
         if in_new != (old >> pick) & 1:
             return bool(in_new)
         remaining &= ~sq.closed_mask(pick) if in_new else ~(1 << pick)
-
-
-def wed_weights(
-    g_square: Graph, nbh: Sequence[int], user: Sequence[int]
-) -> tuple[tuple[int, ...], int]:
-    """Combine closed-neighborhood and user weights for the WED reduction.
-
-    With M = 1 + sum(user), the combined weight M*nbh(v) - user(v) makes
-    every efficient dominating set outscore every other independent set of
-    the square, and ranks efficient dominating sets by ascending user
-    weight. nbh must come from the original graph (every entry >= 1), so
-    all combined weights are positive. Returns (weights, M).
-    """
-    nbh = _check_weights(g_square, nbh)
-    user = _check_weights(g_square, user)
-    if any(x < 1 for x in nbh):
-        raise ValueError("closed-neighborhood weights must be >= 1")
-    scale = 1 + sum(user)
-    return tuple(scale * nbh[v] - user[v] for v in range(g_square.n)), scale

@@ -16,7 +16,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph, _mask_to_tuple, complement, cycle_graph, from_edge_list, path_graph
+from .graph import (
+    Graph, _component_mask, _mask_to_tuple, complement, cycle_graph, from_edge_list, path_graph,
+)
 
 CLASS_TAGS = ("(P6,HHD)-free", "(P6,house)-free", "(P6,bull)-free", "P6-free", "chordal")
 
@@ -208,19 +210,21 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 # -- chordality ---------------------------------------------------------------
 
 def _lexbfs(g: Graph, check: bool) -> list[list]:
-    """The LexBFS loop of :func:`lexbfs_order` and :func:`_chordal_peo`.
+    """The LexBFS loop of :func:`lexbfs_order`, :func:`_chordal_peo` and :func:`is_chordal`.
 
-    Returns one ``[mask, order]`` pair per connected component, in the
-    order of :func:`~perfcode.graph.connected_components`: the component's
-    vertex bitmask and its visit order. A visit whose cell has no visited
-    member (``last == -1``) has no visited neighbor, so it starts the next
-    component; LexBFS finishes a component before it leaves it, and starts
-    the next at the least unvisited vertex, so each order is the LexBFS
-    order of the induced component, ids mapped back. With `check`, a
-    component whose visit fails the parent check gets order None: its
-    remaining vertices are dropped at once, from `unvisited` and from the
-    one cell with ``last == -1`` (which holds every unvisited vertex with no
-    visited neighbor), and the loop goes on with the next component.
+    Returns one ``[mask, order, failed]`` entry per connected component, in
+    the order of :func:`~perfcode.graph.connected_components`: the
+    component's vertex bitmask, its visit order and None. A visit whose
+    cell has no visited member (``last == -1``) has no visited neighbor, so
+    it starts the next component; LexBFS finishes a component before it
+    leaves it, and starts the next at the least unvisited vertex, so each
+    order is the LexBFS order of the induced component, ids mapped back.
+    With `check`, a component whose visit v fails the parent check gets
+    order None and ``failed = (v, seen)``, seen being the bitmask of v's
+    visited neighbors: its remaining vertices are dropped at once, from
+    `unvisited` and from the one cell with ``last == -1`` (which holds every
+    unvisited vertex with no visited neighbor), and the loop goes on with
+    the next component.
     """
     n = g.n
     nbr = g.masks
@@ -246,21 +250,15 @@ def _lexbfs(g: Graph, check: bool) -> list[list]:
         nb = nbr[v] & unvisited
         if p < 0:
             order = [v]
-            parts.append([unvisited | first, order])
+            parts.append([unvisited | first, order, None])
         else:
             order.append(v)
             if check:
                 # v's visited neighbors, p among them: all but p must see p
                 seen = nbr[v] ^ nb
                 if seen & nbr[p] != seen ^ (1 << p):
-                    parts[-1][1] = None
-                    component = frontier = first
-                    while frontier:
-                        low = frontier & -frontier
-                        fresh = nbr[low.bit_length() - 1] & ~component
-                        component |= fresh
-                        frontier = (frontier ^ low) | fresh
-                    unvisited &= ~component
+                    parts[-1][1:] = None, (v, seen)
+                    unvisited &= ~_component_mask(nbr, first)
                     # What is left sees no visited vertex: it is all in the last cell.
                     if unvisited:
                         head = cell_of[(unvisited & -unvisited).bit_length() - 1]
@@ -331,15 +329,15 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     The members of a cell have the same visited neighbors, so each cell
     also keeps `last`, the most recently visited of them (-1 for none),
     which is the parent p of whichever member is visited next. This costs
-    O(1) per touched cell. :func:`_chordal_peo` runs the same loop with the
-    parent check of Tarjan and Yannakakis ("Simple linear-time algorithms
-    to test chordality of graphs, test acyclicity of hypergraphs, and
-    selectively reduce acyclic hypergraphs", SIAM J. Comput. 1984) at each
-    visit v: the reversed order is a perfect elimination order iff every
-    visited neighbor of v other than p is adjacent to p. It stops a
-    component at the first vertex that fails, which proves that component
-    not chordal, and goes on with the next; this function runs the loop to
-    the end.
+    O(1) per touched cell. :func:`is_chordal` runs the same loop once, with
+    the parent check of Tarjan and Yannakakis ("Simple linear-time
+    algorithms to test chordality of graphs, test acyclicity of hypergraphs,
+    and selectively reduce acyclic hypergraphs", SIAM J. Comput. 1984) at
+    each visit v: the reversed order is a perfect elimination order iff
+    every visited neighbor of v other than p is adjacent to p. It stops a
+    component at its first failing vertex, which proves it not chordal and
+    yields the witness, and goes on with the next; this function runs the
+    loop to the end.
 
     A cell with no visited member (`last` = -1) holds only vertices with no
     visited neighbor, so a visit from it starts a new connected component:
@@ -348,47 +346,26 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     is the LexBFS order of that induced component, ids mapped back.
     """
     order = []
-    for _, part in _lexbfs(g, False):
+    for _, part, _ in _lexbfs(g, False):
         order += part
     return tuple(order)
 
 
-def _chordal_peo(g: Graph) -> tuple[int, ...] | None:
-    """The reversed LexBFS order if g is chordal, else None.
-
-    The order is then a perfect elimination order. Each component's search
-    stops at the first vertex that fails the parent check, and builds no
-    cycle witness.
-    """
+def _peo(parts: list[list]) -> tuple[int, ...] | None:
+    """The reversed visit order of a checked :func:`_lexbfs` pass; None if any part failed."""
     # A list first: tuple() over a chain of the parts grows by resizing,
     # which raised campaign peak RSS by about 5%.
     peo = []
-    for _, order in reversed(_lexbfs(g, True)):
+    for _, order, _ in reversed(parts):
         if order is None:
             return None
         peo += reversed(order)
     return tuple(peo)
 
 
-def _peo_violations(g: Graph, order: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-    """Each (v, u, w), u < w, where u and w are nonadjacent later neighbors of v."""
-    nbr = g.masks
-    later = 0
-    for v in reversed(order):
-        rn = nbr[v] & later
-        m = rn
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            bad = rn & ~nbr[u] & ~low
-            while bad:
-                lb = bad & -bad
-                w = lb.bit_length() - 1
-                if u < w:
-                    yield v, u, w
-                bad ^= lb
-            m ^= low
-        later |= 1 << v
+def _chordal_peo(g: Graph) -> tuple[int, ...] | None:
+    """The reversed LexBFS order, a perfect elimination order, if g is chordal, else None."""
+    return _peo(_lexbfs(g, True))
 
 
 def is_perfect_elimination_order(g: Graph, order) -> bool:
@@ -396,7 +373,14 @@ def is_perfect_elimination_order(g: Graph, order) -> bool:
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertex ids")
-    return next(_peo_violations(g, order), None) is None
+    nbr = g.masks
+    later = 0
+    for v in reversed(order):
+        rn = nbr[v] & later
+        if any(rn & ~(nbr[u] | (1 << u)) for u in _mask_to_tuple(rn)):
+            return False
+        later |= 1 << v
+    return True
 
 
 def _cycle_from_triple(g: Graph, v: int, u: int, w: int) -> PatternWitness | None:
@@ -429,23 +413,31 @@ def _cycle_from_triple(g: Graph, v: int, u: int, w: int) -> PatternWitness | Non
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
-    """Certified chordality test.
+    """Certified chordality test, from one checked LexBFS pass.
 
-    Returns (True, perfect elimination order) or (False, induced-cycle
-    witness). The order is the reversed LexBFS visit order, which is a
-    perfect elimination order exactly when the graph is chordal. Only a
-    graph that is not chordal runs the witness search, which walks the
-    failing triples of that order to the end.
+    Returns (True, perfect elimination order), the reversed LexBFS order,
+    or (False, induced-cycle witness): the first cycle that
+    :func:`_cycle_from_triple` closes through the first visit v failing the
+    parent check and a nonadjacent pair u < w of its visited neighbors, in
+    ascending (u, w) order. Some pair closes one. The visits before v
+    passed the check, so by induction each one's visited neighbors form a
+    clique, and v is the first vertex whose visited neighbors do not. The
+    prefix then v is a LexBFS order of the graph H it induces, whose
+    reversal is no perfect elimination order, so H is not chordal (Rose,
+    Tarjan and Lueker, SIAM J. Comput. 1976); every chordless cycle of H
+    runs through v and two nonadjacent visited neighbors of it, and the rest
+    of the cycle is a path the search finds. The AssertionError guards this.
     """
-    peo = _chordal_peo(g)
+    parts = _lexbfs(g, True)
+    peo = _peo(parts)
     if peo is not None:
         return True, peo
-    # Some failing triple always embeds in a hole (take the hole vertex
-    # eliminated first); spurious triples may not, so walk them in order.
-    for v, u, w in _peo_violations(g, tuple(reversed(lexbfs_order(g)))):
-        witness = _cycle_from_triple(g, v, u, w)
-        if witness is not None:
-            return False, witness
+    v, seen = next(failed for _, _, failed in parts if failed is not None)
+    for u in _mask_to_tuple(seen):
+        for w in _mask_to_tuple(seen & ~g.masks[u] & -(2 << u)):
+            witness = _cycle_from_triple(g, v, u, w)
+            if witness is not None:
+                return False, witness
     raise AssertionError("not chordal but no induced cycle found")
 
 

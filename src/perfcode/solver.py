@@ -184,7 +184,7 @@ def _min_weight_ed(
     with 0 or 1), candidates in ascending id, pruning nodes heavier than
     the best e.d. so far. Ties on user weight go to the set that mwis_exact
     meets first (see :func:`_precedes`), which is the one it returns: with
-    the weights of :func:`wed_weights` every e.d. outscores every other
+    the weights :func:`solve` folds, every e.d. outscores every other
     independent set of the square, and each independent set is exactly one
     leaf of its search. Returns the e.d. as a vertex mask.
     """
@@ -229,9 +229,10 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     the next. Every component is then solved in place on masks of the one
     square, with no induced copy. A chordal square runs the two-pass
     greedy MWIS over the reversed LexBFS order, a perfect elimination
-    order, on closed neighborhood sizes combined with the user weights
-    (:func:`wed_weights`, each component on its own scale); an e.d. exists
-    iff the optimum's neighborhood weight covers the whole component. A
+    order, on closed neighborhood sizes folded with the user weights as
+    M * |N[v]| - w(v), M = 1 + the component's user weight (every e.d. then
+    outscores every other independent set, lightest e.d. first); an e.d.
+    exists iff the optimum's neighborhood weight covers the component. A
     non-chordal square runs an exact cover search over the closed
     neighborhoods (path "exact-fallback"), which returns the very set the
     exact MWIS branch-and-bound would: ties on user weight are broken by
@@ -262,7 +263,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
 
     sq = square(g)
     parts = _lexbfs(sq, True)
-    non_chordal = [mask for mask, order in parts if order is None]
+    non_chordal = [mask for mask, order, _ in parts if order is None]
     hole_free = odd_antihole_free = None
     if g.n <= DEFAULT_VERIFY_BUDGET:
         copies = [
@@ -280,7 +281,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     combined = [0] * g.n
     chosen = 0
     path = "exact-fallback" if mode == "exact" else "chordal-square"
-    for component, order in parts:
+    for component, order, _ in parts:
         if order is None and mode == "chordal":
             raise ValueError("forced chordal path but the square is not chordal")
         if order is None and mode == "auto":

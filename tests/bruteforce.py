@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here works on plain (n, edge list) data with its own adjacency
-handling, so it shares no code with the library under test. Exponential
+handling, so it shares no code with the library under test; the one
+exception, :func:`chordality_certificate_by_walk`, is marked. Exponential
 blowup is the point: these are ground truth for small instances only.
 """
 
@@ -162,6 +163,34 @@ def induced_cycle_lengths(n: int, edges) -> set[int]:
 
 def is_chordal(n: int, edges) -> bool:
     return all(k < 4 for k in induced_cycle_lengths(n, edges))
+
+
+def chordality_certificate_by_walk(g):
+    """The certificate of ``perfcode.is_chordal(g)``, by walking every failing triple.
+
+    The reversal of the :func:`lexbfs_labels` order, if every vertex's
+    earlier neighbors in that order form a clique; else the first induced
+    cycle that ``recognition._cycle_from_triple`` closes, over every
+    (v, u, w) with u < w nonadjacent earlier neighbors of v, in visit order
+    and then ascending (u, w). Only the witness builder is the library's:
+    this checks which failing visit and pair the library builds it from.
+    """
+    from perfcode.recognition import _cycle_from_triple
+
+    edges = list(g.edges())
+    order = lexbfs_labels(g.n, edges)
+    adj = adjacency(g.n, edges)
+    failing = False
+    for i, v in enumerate(order):
+        for u, w in combinations(sorted(adj[v] & set(order[:i])), 2):
+            if w not in adj[u]:
+                failing = True
+                witness = _cycle_from_triple(g, v, u, w)
+                if witness is not None:
+                    return False, witness
+    if failing:
+        raise AssertionError("not chordal but no induced cycle found")
+    return True, tuple(reversed(order))
 
 
 def complement_edges(n: int, edges) -> list[tuple[int, int]]:

@@ -16,7 +16,6 @@ from perfcode import (
     mwis_exact,
     path_graph,
     square,
-    wed_weights,
 )
 
 
@@ -123,34 +122,6 @@ def test_chordal_greedy_matches_exact_on_random_chordal(n, fill, seed):
     assert greedy.value == exact.value
 
 
-def test_wed_weights_on_c6():
-    sq = square(cycle_graph(6))
-    nbh = closed_neighborhood_weights(cycle_graph(6))
-    combined, scale = wed_weights(sq, nbh, (1, 2, 3, 4, 5, 6))
-    assert scale == 22
-    assert combined == (65, 64, 63, 62, 61, 60)
-
-
-def test_wed_weights_zero_user_degenerates_to_nbh():
-    sq = square(path_graph(3))
-    nbh = closed_neighborhood_weights(path_graph(3))
-    combined, scale = wed_weights(sq, nbh, (0, 0, 0))
-    assert scale == 1 and combined == nbh
-
-
-def test_wed_weights_on_p3():
-    sq = square(path_graph(3))
-    nbh = closed_neighborhood_weights(path_graph(3))
-    combined, scale = wed_weights(sq, nbh, (1, 5, 1))
-    assert scale == 8 and combined == (15, 19, 15)
-
-
-def test_wed_weights_rejects_zero_nbh():
-    sq = square(path_graph(2))
-    with pytest.raises(ValueError, match=">= 1"):
-        wed_weights(sq, (0, 2), (1, 1))
-
-
 @given(edge_sets(max_n=7), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_wed_soundness(ne, seed):
@@ -163,7 +134,8 @@ def test_wed_soundness(ne, seed):
     rng = random.Random(seed)
     user = [rng.randint(0, 9) for _ in range(n)]
     nbh = closed_neighborhood_weights(g)
-    combined, _ = wed_weights(sq, nbh, user)
+    scale = 1 + sum(user)
+    combined = [scale * nbh[v] - user[v] for v in range(n)]
     eds = bf.all_eds(n, edges)
     if not eds:
         return

@@ -267,6 +267,36 @@ def test_is_chordal_matches_brute_force(ne):
         assert len(cert.vertices) >= 4
 
 
+def test_is_chordal_matches_the_triple_walk_on_every_small_graph():
+    """Every graph on at most 6 vertices, and its square: the same certificate."""
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = from_edge_list(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+            for h in (g, square(g)):
+                assert is_chordal(h) == bf.chordality_certificate_by_walk(h)
+
+
+@pytest.mark.parametrize(
+    "g", [cycle_graph(4), square(cycle_graph(30)), disjoint_union(path_graph(3), cycle_graph(6))]
+)
+def test_is_chordal_makes_one_pass(monkeypatch, g):
+    def no_second_pass(*args):
+        raise AssertionError("lexbfs_order ran")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _lexbfs(*args)
+
+    monkeypatch.setattr(recognition, "lexbfs_order", no_second_pass)
+    monkeypatch.setattr(recognition, "_lexbfs", counted)
+    ok, witness = is_chordal(g)
+    assert not ok and witness_is_valid(g, witness)
+    assert len(calls) == 1
+
+
 def test_is_perfect_elimination_order_rejects_non_permutation():
     with pytest.raises(ValueError):
         is_perfect_elimination_order(path_graph(3), (0, 0, 1))
@@ -357,18 +387,27 @@ def _component_verdicts(g):
     """_lexbfs's component pass against each induced component; its verdicts."""
     parts = _lexbfs(g, True)
     components = connected_components(g)
-    assert [mask for mask, _ in parts] == [sum(1 << v for v in c) for c in components]
-    for (_, order), component in zip(parts, components):
+    assert [mask for mask, _, _ in parts] == [sum(1 << v for v in c) for c in components]
+    for (mask, order, failed), component in zip(parts, components):
         sub = induced_subgraph(g, component)[0]
         assert (order is not None) == (_chordal_peo(sub) is not None)
         if order is not None:
             assert order == [component[v] for v in lexbfs_order(sub)]
+            assert failed is None
+        else:
+            # the failing visit and its visited neighbors, which are not a clique
+            v, seen = failed
+            assert (mask >> v) & 1 and seen & mask == seen and not (seen >> v) & 1
+            assert seen & ~g.masks[v] == 0
+            visited = [u for u in range(g.n) if (seen >> u) & 1]
+            assert any(not g.adjacent(u, w) for u, w in combinations(visited, 2))
     unchecked = _lexbfs(g, False)
-    assert [order for _, order in unchecked] == [
+    assert [order for _, order, _ in unchecked] == [
         [component[v] for v in lexbfs_order(induced_subgraph(g, component)[0])]
         for component in components
     ]
-    return [order is not None for _, order in parts]
+    assert all(failed is None for _, _, failed in unchecked)
+    return [order is not None for _, order, _ in parts]
 
 
 @given(st.one_of(sparse_graphs(), edge_sets(max_n=30).map(lambda ne: from_edge_list(*ne))))
@@ -400,6 +439,7 @@ def test_component_pass_goes_on_after_a_failing_component(name):
     sq = square(disjoint_union(*pieces))
     assert _component_verdicts(sq) == verdicts
     assert (_chordal_peo(sq) is not None) == all(verdicts)
+    assert is_chordal(sq) == bf.chordality_certificate_by_walk(sq)
 
 
 # -- holes, antiholes, perfection ----------------------------------------------
@@ -692,7 +732,7 @@ def test_is_class_member_chordal_builds_no_cycle_witness(monkeypatch):
     def no_witness_search(*args):
         raise AssertionError("witness search ran")
 
-    monkeypatch.setattr(recognition, "_peo_violations", no_witness_search)
+    monkeypatch.setattr(recognition, "_cycle_from_triple", no_witness_search)
     with pytest.raises(AssertionError, match="witness search ran"):
         class_membership(cycle_graph(5), "chordal")
     assert not is_class_member(cycle_graph(5), "chordal")

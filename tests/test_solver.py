@@ -24,7 +24,6 @@ from perfcode import (
     solve,
     square,
     verify_ed,
-    wed_weights,
     SquareDiagnostics,
 )
 from perfcode.solver import efficient_dominating_sets
@@ -119,8 +118,6 @@ def test_non_integer_weights_are_rejected(bad):
         lambda: oracle_ed(g, w),
         lambda: mwis_exact(g, w),
         lambda: mwis_chordal(g, w, (0, 1, 2)),
-        lambda: wed_weights(square(g), (2, 3, 2), w),
-        lambda: wed_weights(square(g), w, (1, 1, 1)),
     ):
         with pytest.raises(ValueError, match=message):
             call()

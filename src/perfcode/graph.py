@@ -161,15 +161,30 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     """Subgraph induced by the given vertex set, plus the old->new id map.
 
     The new graph relabels the (deduplicated, sorted) vertex set to 0..k-1.
+    Each row is compressed bit by bit: every kept vertex's old id maps to
+    its new position bit, and one walk over the row's bits inside the kept
+    set ORs them together.
     """
     keep = sorted(set(vertices))
     for v in keep:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range [0, {g.n})")
     remap = {old: new for new, old in enumerate(keep)}
-    inside = sum(1 << v for v in keep)
+    position = [0] * g.n
+    inside = 0
+    for new, old in enumerate(keep):
+        position[old] = 1 << new
+        inside |= 1 << old
     nbr = g.masks
-    masks = [sum(1 << remap[u] for u in _mask_to_tuple(nbr[old] & inside)) for old in keep]
+    masks = []
+    for old in keep:
+        row = nbr[old] & inside
+        mask = 0
+        while row:
+            low = row & -row
+            row ^= low
+            mask |= position[low.bit_length() - 1]
+        masks.append(mask)
     return Graph._built(tuple(masks)), remap
 
 

@@ -508,41 +508,75 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
     would give: were it (a, p1, ..., pk, x) with x < p1, the DFS would meet
     its reverse (a, x, pk, ..., p1) earlier, under second vertex x, and that
     passes the same tests (vertices above a, an induced path seen by a only
-    at its ends, the same length and parity). The search keeps one (neighbor
-    iterator, interior mask) frame per path vertex after the anchor on an
-    explicit stack, so path length is not bounded by recursion. The paths
-    are induced, so the endpoint sees only the anchor (on a two-vertex
-    path) and its predecessor.
+    at its ends, the same length and parity).
+
+    Each path vertex after the anchor has a frame of two bitmasks on an
+    explicit stack, so path length is not bounded by recursion: `banned`,
+    the anchor, the path and the neighbors of the interior (the path
+    without the anchor and the endpoint), and `cands`, the endpoint's
+    neighbors above the anchor and outside `banned` not yet tried, taken
+    lowest bit first (ascending ids, as in :func:`_embeddings`). Every
+    later vertex of a cycle through the current path lies above the anchor
+    and outside `banned`. Three cuts drop only branches that yield nothing:
+
+    1. The anchors stop at the first one with fewer than min_length - 1
+       vertices above it (2 if min_length < 3); every later one has fewer.
+    2. A second vertex v2 is skipped when the anchor has no neighbor above
+       it, since the closing vertex must exceed v2 (it is then the anchor's
+       last neighbor, so the anchor is done).
+    3. An extension x is not entered when ``free``, the vertices above the
+       anchor outside `banned`, the endpoint's neighbors and x, holds no
+       closing vertex (a neighbor of the anchor above v2), or too few
+       vertices for the path, x and ``free`` to reach min_length. Every
+       vertex the branch under x adds lies in ``free``, which only shrinks
+       as the branch goes deeper.
     """
     if parity not in ("any", "odd"):
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
     if min_length >= 5 and not _has_hole(g):
         return
     nbr = g.masks
-    rows = [g.neighbors(v) for v in range(g.n)]
-    for anchor in range(g.n):
+    full = (1 << g.n) - 1
+    # cut 1: a cycle needs max(min_length, 3) - 1 vertices above its anchor
+    for anchor in range(g.n - max(min_length, 3) + 1):
         anchor_nb = nbr[anchor]
-        for v2 in rows[anchor]:
-            if v2 < anchor:
-                continue
+        above = full & -(2 << anchor)
+        v2s = anchor_nb & above
+        while v2s:
+            first = v2s & -v2s
+            v2s ^= first
+            v2 = first.bit_length() - 1
+            closers = anchor_nb & -(first << 1)
+            if not closers:
+                break  # cut 2: v2 is the anchor's last neighbor, and nothing closes above it
             path = [anchor, v2]
-            stack = [(iter(rows[v2]), 0)]
-            while stack:
-                neighbors, mid_mask = stack[-1]
-                for x in neighbors:
-                    if x <= anchor or x == path[-2] or nbr[x] & mid_mask:
-                        continue
-                    if (anchor_nb >> x) & 1:
-                        length = len(path) + 1
-                        if x > path[1] and length >= min_length and (parity == "any" or length % 2):
-                            yield (*path, x)
-                        continue  # sees the anchor: usable only as a closing vertex
-                    stack.append((iter(rows[x]), mid_mask | (1 << path[-1])))
-                    path.append(x)
-                    break
-                else:
-                    stack.pop()
+            banned = (1 << anchor) | first
+            cands = nbr[v2] & above & ~banned
+            stack = []  # (cands, banned) of each frame below the top one
+            while True:
+                if not cands:
+                    if not stack:
+                        break
+                    cands, banned = stack.pop()
                     path.pop()
+                    continue
+                low = cands & -cands
+                cands ^= low
+                if anchor_nb & low:
+                    # sees the anchor: usable only as a closing vertex
+                    x = low.bit_length() - 1
+                    length = len(path) + 1
+                    if x > v2 and length >= min_length and (parity == "any" or length % 2):
+                        yield (*path, x)
+                    continue
+                inner = banned | nbr[path[-1]]
+                free = above & ~inner
+                # cut 3: the rest of any cycle through x lies in `free`
+                if not free & closers or len(path) + 1 + free.bit_count() < min_length:
+                    continue
+                stack.append((cands, banned))
+                path.append(low.bit_length() - 1)
+                cands, banned = nbr[path[-1]] & free, inner
 
 
 def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitness | None:
@@ -550,8 +584,9 @@ def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitn
 
     The first cycle closed by the depth-first search of :func:`_hole_closings`.
     For min_length >= 5 the verdict "no hole" is polynomial (:func:`_has_hole`),
-    and the exhaustive DFS runs only on a graph with a hole, to produce the
-    witness.
+    and the DFS runs only on a graph with a hole, to produce the witness; it
+    skips every anchor, second vertex and extension that can no longer close
+    a cycle of min_length, so on a long hole it is about linear.
     """
     cycle = next(_hole_closings(g, parity, min_length), None)
     return None if cycle is None else PatternWitness(f"C{len(cycle)}", cycle)
@@ -561,8 +596,10 @@ def find_all_holes(g: Graph, parity: str = "any", min_length: int = 5) -> list[P
     """Every induced cycle of length >= min_length, one orientation each.
 
     Each hole is reported once: anchored at its smallest vertex, second
-    vertex the smaller of the anchor's two cycle neighbors. Exponential in
-    the worst case; intended for verification corpora.
+    vertex the smaller of the anchor's two cycle neighbors. The DFS of
+    :func:`_hole_closings` enters no branch that cannot close one, so a
+    long hole takes about linear time, but it is exponential in the worst
+    case; intended for verification corpora.
     """
     return [PatternWitness(f"C{len(c)}", c) for c in _hole_closings(g, parity, min_length)]
 
@@ -576,8 +613,11 @@ def find_odd_antihole(g: Graph) -> PatternWitness | None:
 
     Searched as an odd hole of length >= 7 in the complement; C5 is its own
     complement and is classed as an odd hole, not an antihole. The polynomial
-    hole test runs on the complement first, so the exhaustive DFS runs only
-    when the complement has a hole (an antihole of any length >= 5 in g).
+    hole test runs on the complement first, so the DFS runs only when the
+    complement has a hole (an antihole of any length >= 5 in g). There it
+    enters no extension whose remaining vertices hold no closing vertex or
+    too few for a cycle of length 7, but when the complement's holes are
+    all even or of length 5 it still searches every other branch.
     """
     if g.n < 7:
         return None

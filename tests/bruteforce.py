@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here works on plain (n, edge list) data with its own adjacency
-handling, so it shares no code with the library under test; the one
-exception, :func:`chordality_certificate_by_walk`, is marked. Exponential
+handling, so it shares no code with the library under test; the two
+exceptions, :func:`chordality_certificate_by_walk` and
+:func:`hole_closings_by_walk`, are marked. Exponential
 blowup is the point: these are ground truth for small instances only.
 """
 
@@ -191,6 +192,48 @@ def chordality_certificate_by_walk(g):
     if failing:
         raise AssertionError("not chordal but no induced cycle found")
     return True, tuple(reversed(order))
+
+
+def hole_closings_by_walk(g, parity: str, min_length: int):
+    """The cycles ``recognition._hole_closings(g, parity, min_length)`` yields, in order.
+
+    The plain induced-path walk, with no pruning: from each anchor in
+    ascending order, every neighbor of the endpoint above the anchor that
+    sees no interior vertex is tried in ascending order, a vertex seeing
+    the anchor closes a cycle (kept if it exceeds the second vertex and the
+    length and parity fit) and any other extends the path. Only the
+    polynomial hole test in front is the library's: this checks that the
+    pruned search drops no cycle and keeps the order.
+    """
+    from perfcode.recognition import _has_hole
+
+    if min_length >= 5 and not _has_hole(g):
+        return
+    nbr = g.masks
+    rows = [g.neighbors(v) for v in range(g.n)]
+    for anchor in range(g.n):
+        anchor_nb = nbr[anchor]
+        for v2 in rows[anchor]:
+            if v2 < anchor:
+                continue
+            path = [anchor, v2]
+            stack = [(iter(rows[v2]), 0)]
+            while stack:
+                neighbors, mid_mask = stack[-1]
+                for x in neighbors:
+                    if x <= anchor or x == path[-2] or nbr[x] & mid_mask:
+                        continue
+                    if (anchor_nb >> x) & 1:
+                        length = len(path) + 1
+                        if x > path[1] and length >= min_length and (parity == "any" or length % 2):
+                            yield (*path, x)
+                        continue
+                    stack.append((iter(rows[x]), mid_mask | (1 << path[-1])))
+                    path.append(x)
+                    break
+                else:
+                    stack.pop()
+                    path.pop()
 
 
 def complement_edges(n: int, edges) -> list[tuple[int, int]]:

@@ -39,6 +39,7 @@ from perfcode.recognition import (
     _constraint_table,
     _embeddings,
     _has_hole,
+    _hole_closings,
     _lex_leader_pairs,
     _lexbfs,
     find_all_holes,
@@ -583,6 +584,46 @@ def test_hole_searches_on_long_cycles():
         False,
         PatternWitness("C3001", tuple(range(3001))),
     )
+    # the cuts leave one anchor to search, so these stay about linear; the
+    # unpruned walk re-walks the cycle from every anchor, quadratic in n
+    longest = PatternWitness("C10000", tuple(range(10000)))
+    assert find_all_holes(cycle_graph(10000)) == [longest]
+    assert find_hole(cycle_graph(10000)) == longest
+
+
+#: The (parity, min_length) pairs the hole searches are compared on.
+HOLE_SEARCHES = (("any", 3), ("any", 4), ("any", 5), ("odd", 5), ("odd", 7))
+
+
+def test_hole_closings_match_the_walk_on_every_small_graph():
+    """Every graph on at most 6 vertices, its complement among them: the same cycles, in order."""
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = from_edge_list(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+            for parity, min_length in HOLE_SEARCHES:
+                expected = list(bf.hole_closings_by_walk(g, parity, min_length))
+                assert list(_hole_closings(g, parity, min_length)) == expected
+
+
+def test_hole_closings_match_the_walk_on_square_complements():
+    """The complements that find_odd_antihole searches: non-chordal component squares of G(n, p)."""
+    rng = random.Random(2004)
+    searched = 0
+    for _ in range(300):
+        n = rng.randint(10, 16)
+        p = rng.uniform(0.1, 0.4)
+        sq = square(from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+        for component in connected_components(sq):
+            h = induced_subgraph(sq, component)[0]
+            if _chordal_peo(h) is not None:
+                continue
+            co_h = complement(h)
+            searched += _has_hole(co_h)
+            for parity, min_length in HOLE_SEARCHES:
+                expected = list(bf.hole_closings_by_walk(co_h, parity, min_length))
+                assert list(_hole_closings(co_h, parity, min_length)) == expected
+    assert searched >= 50  # the complements with a hole, where the DFS runs
 
 
 WITNESS_DIGEST = "c3bf3bdeaaad0f8fa09c19871be06ab4f75f2dfb172b0c8ca089dd1b9ebe4acd"

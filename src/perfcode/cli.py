@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--force-path",
         choices=("chordal", "exact", "oracle"),
         default=None,
-        help="bypass automatic solver-path selection",
+        help="one path for every component: chordal, the greedy on the square (an error if "
+        "it is not chordal); exact, the MWIS branch-and-bound on the square, the exponential "
+        "reference route; oracle, an enumeration of every e.d. without the square",
     )
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -4,7 +4,8 @@ Two routes: a linear-scan greedy for chordal graphs driven by a perfect
 elimination order, and an exact branch-and-bound for arbitrary graphs, on
 an explicit stack (the reference route of ``solve(mode="exact")``).
 Weights are nonnegative integers; zero-weight vertices are never put into
-result sets, so optima are canonical and deterministic.
+result sets. Of tied optima the exact search returns the lexicographically
+least sorted vertex tuple.
 """
 
 from __future__ import annotations
@@ -109,30 +110,15 @@ def _clique_cover_bound(g: Graph, remaining: int, w: Sequence[int]) -> int:
     return bound
 
 
-def _branch_vertex(g: Graph, remaining: int) -> int:
-    """Where :func:`mwis_exact` branches: highest degree in g[remaining], least id on ties."""
-    nbr = g.masks
-    pick = -1
-    pick_deg = -1
-    m = remaining
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        deg = (nbr[v] & remaining).bit_count()
-        if deg > pick_deg:
-            pick_deg = deg
-            pick = v
-        m ^= low
-    return pick
-
-
 def mwis_exact(g: Graph, weights: Sequence[int]) -> MwisResult:
     """Provably optimal maximum weight independent set by branch-and-bound.
 
-    Depth-first on an explicit stack: branches on :func:`_branch_vertex`,
+    Depth-first on an explicit stack: branches on the least remaining id,
     include branch first, pruning with the greedy clique-cover bound when a
-    node is popped; the returned set is the first optimum met in that fixed
-    order. Exponential worst case.
+    node is popped. Every vertex below the pick is already decided, so the
+    leaves are met in lexicographic order of their sorted vertex tuples,
+    and the first optimum met, the one returned, is the lexicographically
+    least. Exponential worst case.
     """
     w = _check_weights(g, weights)
     # Zero-weight vertices never enter an optimum here; drop them up front.
@@ -149,8 +135,8 @@ def _mwis_exact(g: Graph, w: Sequence[int], pool: int) -> tuple[int, int]:
 
     Every vertex of `pool` must have positive weight. When `pool` is a
     component of g, this is mwis_exact on the induced component, ids mapped
-    back: its branching and bound read degrees inside `remaining` and break
-    ties by least id. Returns (mask, value) of the optimum.
+    back: its branching and bound read only `remaining`, in ascending id.
+    Returns (mask, value) of the lexicographically least optimum.
     """
     best_value = 0
     best_mask = 0
@@ -164,28 +150,10 @@ def _mwis_exact(g: Graph, w: Sequence[int], pool: int) -> tuple[int, int]:
             continue
         if current_value + _clique_cover_bound(g, remaining, w) <= best_value:
             continue
-        pick = _branch_vertex(g, remaining)
+        pick = (remaining & -remaining).bit_length() - 1
         # The include child is pushed last so that it is explored first.
         stack.append((remaining & ~(1 << pick), current_mask, current_value))
         stack.append(
             (remaining & ~g.closed_mask(pick), current_mask | (1 << pick), current_value + w[pick])
         )
     return best_mask, best_value
-
-
-def _precedes(sq: Graph, new: int, old: int, remaining: int) -> bool:
-    """True iff independent set `new` precedes `old` among mwis_exact's leaves on sq.
-
-    Both are vertex bitmasks of independent sets of sq, and the search is
-    assumed to start from every vertex of `remaining` (all weights
-    positive), a union of components of sq holding both sets. Walks its
-    branching rule from the root: a pick in both sets is included, a pick
-    in neither is excluded, and the first pick in exactly one set decides,
-    since the include branch is searched first.
-    """
-    while True:
-        pick = _branch_vertex(sq, remaining)
-        in_new = (new >> pick) & 1
-        if in_new != (old >> pick) & 1:
-            return bool(in_new)
-        remaining &= ~sq.closed_mask(pick) if in_new else ~(1 << pick)

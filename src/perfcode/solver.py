@@ -4,8 +4,8 @@ The main pipeline reduces (weighted) efficient domination on a graph to
 maximum weight independent set on its square. A component whose square is
 chordal runs the chordal greedy; any other runs a weighted exact cover of
 the closed neighborhoods (each one a clique of the square, met exactly once
-by an e.d.), which returns the same set as the exact MWIS branch-and-bound
-that ``mode="exact"`` keeps as the reference route. A separate exact-cover
+by an e.d.). Both return the lightest e.d., lexicographically least on
+ties, as does the reference route ``mode="exact"``. A separate exact-cover
 search on an explicit stack, :func:`efficient_dominating_sets`, serves the
 independent oracle; it reads candidates off closed neighborhoods and never
 touches the square, so it shares no code with the pipeline.
@@ -38,7 +38,6 @@ from .mwis import (
     _check_weights,
     _chordal_greedy,
     _mwis_exact,
-    _precedes,
     mwis_chordal,  # not called here; bench/tracing.py wraps it by this name
     mwis_exact,  # not called here; bench/tracing.py wraps it by this name
 )
@@ -170,34 +169,35 @@ def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
 
 
 def _min_weight_ed(
-    closed: Sequence[int], blocks: Sequence[int], sq: Graph, user: Sequence[int], component: int
+    closed: Sequence[int], blocks: Sequence[int], user: Sequence[int], component: int
 ) -> int | None:
-    """The e.d. of one component that mwis_exact on its square would return, or None.
+    """The least-weight e.d. of one component, lexicographically least on ties, or None.
 
     `component` is the vertex mask of a connected component of the graph,
-    `closed` its closed neighborhoods and `blocks` those of its square `sq`,
-    all by vertex id of the whole graph. Weighted exact cover of the closed
+    `closed` its closed neighborhoods and `blocks` those of its square, all
+    by vertex id of the whole graph. Weighted exact cover of the closed
     neighborhoods, depth-first on an explicit stack: branch on the
     uncovered vertex with the fewest candidates (closed neighbors outside
-    the closed neighborhood in `sq` of every chosen vertex, i.e. whose own
+    the square's closed neighborhood of every chosen vertex, i.e. whose own
     closed neighborhood is still uncovered; the scan stops at the first
-    with 0 or 1), candidates in ascending id, pruning nodes heavier than
-    the best e.d. so far. Ties on user weight go to the set that mwis_exact
-    meets first (see :func:`_precedes`), which is the one it returns: with
-    the weights :func:`solve` folds, every e.d. outscores every other
-    independent set of the square, and each independent set is exactly one
-    leaf of its search. Returns the e.d. as a vertex mask.
+    with 0 or 1), candidates in ascending id. A node is pruned when it is
+    heavier than the best e.d. so far, or as heavy and no leaf below it can
+    hold the least vertex that tells it from that e.d.: every leaf lies
+    between `chosen` and `chosen | usable`, and weights are nonnegative.
+    So a leaf that is reached always replaces the best. Returns the e.d. as
+    a vertex mask.
     """
     best_weight = -1
     best = 0
     stack = [(0, component, 0, 0)]  # (covered, usable, chosen, weight)
     while stack:
         covered, usable, chosen, weight = stack.pop()
-        if best_weight >= 0 and weight > best_weight:
-            continue
+        if 0 <= best_weight <= weight:
+            reach = (chosen | usable) ^ best
+            if weight > best_weight or not reach & -reach & ~best:
+                continue
         if covered == component:
-            if best_weight < 0 or weight < best_weight or _precedes(sq, chosen, best, component):
-                best_weight, best = weight, chosen
+            best_weight, best = weight, chosen
             continue
         fewest = len(closed) + 1
         rest = component ^ covered
@@ -231,21 +231,24 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     greedy MWIS over the reversed LexBFS order, a perfect elimination
     order, on closed neighborhood sizes folded with the user weights as
     M * |N[v]| - w(v), M = 1 + the component's user weight (every e.d. then
-    outscores every other independent set, lightest e.d. first); an e.d.
-    exists iff the optimum's neighborhood weight covers the component. A
-    non-chordal square runs an exact cover search over the closed
-    neighborhoods (path "exact-fallback"), which returns the very set the
-    exact MWIS branch-and-bound would: ties on user weight are broken by
-    that search's own branching order. Components are solved in order,
-    stopping at the first without an e.d.
+    outscores every other independent set, lightest e.d. first), shifted
+    up n bits over a bit 2^(n - 1 - v) so that the optimum is unique; an
+    e.d. exists iff the optimum's neighborhood weight covers the component.
+    A non-chordal square runs an exact cover search over the closed
+    neighborhoods (path "exact-fallback"). Every mode but "oracle" returns
+    the lightest e.d., and of those the lexicographically least sorted
+    vertex tuple, per component and so for their union. Components are
+    solved in order, stopping at the first without an e.d.
 
     mode: "auto" picks per component as above; "chordal" forces the greedy
     and raises ValueError at the first component whose square is not
     chordal; "exact" forces the branch-and-bound of :func:`mwis_exact` on
-    every component square, the reference MWIS route; "oracle" delegates
-    to :func:`oracle_ed`. Chordality is always reported; the hole /
-    odd-antihole verdicts are skipped (None) when the whole graph's n is
-    above the verification budget :data:`DEFAULT_VERIFY_BUDGET` (30).
+    every component square, on the unshifted weights: the reference MWIS
+    route, exponential in the worst case; "oracle" delegates to
+    :func:`oracle_ed`, whose ties follow its enumeration order.
+    Chordality is always reported; the hole / odd-antihole verdicts are
+    skipped (None) when the whole graph's n is above the verification
+    budget :data:`DEFAULT_VERIFY_BUDGET` (30).
     Within it (see :class:`SquareDiagnostics`) they are read off the
     component squares, since holes and antiholes are connected: a chordal
     square is hole-free and odd-antihole-free with no search, and each
@@ -285,14 +288,17 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
         if order is None and mode == "chordal":
             raise ValueError("forced chordal path but the square is not chordal")
         if order is None and mode == "auto":
-            found = _min_weight_ed(closed, blocks, sq, unit, component)
+            found = _min_weight_ed(closed, blocks, unit, component)
             path = "exact-fallback"
         else:
             vertices = order if order is not None else _mask_to_tuple(component)
             scale = 1 + sum(unit[v] for v in vertices)
+            greedy = order is not None and mode != "exact"
             for v in vertices:
-                combined[v] = scale * nbh[v] - unit[v]
-            if order is not None and mode != "exact":
+                weight = scale * nbh[v] - unit[v]
+                # v's low bit outweighs all larger ids' together: one optimum, the lex-least
+                combined[v] = weight << g.n | 1 << (g.n - 1 - v) if greedy else weight
+            if greedy:
                 # uses up this component's entries of combined as residuals
                 found = _chordal_greedy(sq.masks, combined, reversed(order))
             else:

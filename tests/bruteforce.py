@@ -91,6 +91,15 @@ def all_eds(n: int, edges) -> list[tuple[int, ...]]:
     return out
 
 
+def least_ed(n: int, edges, weights) -> tuple[int, ...] | None:
+    """The e.d. of least weight (None: unweighted), lexicographically least on ties."""
+    return min(
+        all_eds(n, edges),
+        key=lambda d: (sum(weights[v] for v in d) if weights else 0, d),
+        default=None,
+    )
+
+
 def mwis_value(n: int, edges, weights) -> int:
     adj = adjacency(n, edges)
     best = 0

@@ -73,6 +73,23 @@ def g_k(k: int):
     return from_edge_list(6 * k + 2, edges)
 
 
+def h_k(k: int):
+    """g_k(k) with weights that leave it one lightest e.d., and those weights.
+
+    The C6 joined to the hub at b gives weight a to b + 1 and b + 4 and
+    21 - a to b + 2 and b + 5, where a is 10 or 11 by one draw of
+    ``random.Random(k)`` per C6 in order; every other vertex weighs 1.
+    """
+    rng = random.Random(k)
+    weights = [1] * (6 * k + 2)
+    for i in range(k):
+        base = 2 + 6 * i
+        a = 10 if rng.random() < 0.5 else 11
+        weights[base + 1] = weights[base + 4] = a
+        weights[base + 2] = weights[base + 5] = 21 - a
+    return g_k(k), weights
+
+
 def planted_ed_graph(n: int, rng: random.Random):
     """A graph with a planted efficient dominating set, and that set.
 

@@ -182,8 +182,8 @@ def test_cli_solve_disconnected_stdout_is_pinned(tmp_path, capsys, parts, code, 
 
 @pytest.mark.usefixtures("time_limit")
 def test_cli_solve_long_cycle(tmp_path, capsys):
-    # C_3000 with unit weights has three e.d.s of equal weight; _precedes
-    # breaks the tie the way the exact MWIS branch-and-bound would
+    # C_3000 with unit weights has three e.d.s of equal weight; every route
+    # returns the lexicographically least, (0, 3, ..., 2997)
     path = tmp_path / "c3000.col"
     path.write_text(write_dimacs(cycle_graph(3000)))
     assert main(["solve", str(path)]) == 0

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import disjoint_union, edge_sets, g_k, planted_ed_graph
+from conftest import disjoint_union, edge_sets, g_k, h_k, planted_ed_graph
 from perfcode import (
     closed_neighborhood_weights,
     complete_sun,
@@ -29,7 +29,7 @@ from perfcode import (
 from perfcode.solver import efficient_dominating_sets
 
 WEIGHT_RANGES = {"unit": (1, 1), "0..3": (0, 3), "1..20": (1, 20)}
-SOLVE_DIGEST = "e62dd80d39c9d518e14c971a1f2ea8f644672e64f389dcce3f4e4df77c4e7d86"
+SOLVE_DIGEST = "80cfba2f59715cc2dc3058c2ae28eb29d350d665ce70941dee4cf7d2e313265f"
 ORACLE_DIGEST = "c11fc9ac3ae4aadf037561bb0ee456665939b942f43576fb8a50751c6428b211"
 
 
@@ -289,9 +289,9 @@ def _pinned_solve_inputs(count=1500):
 def test_solve_outputs_are_pinned():
     """Whole solve results, diagnostics included, on 6,000 calls.
 
-    The digest was recorded at commit fcfc125, before the diagnostics were
-    read off the chordality certificates and before a connected graph
-    stopped being copied.
+    The digest was recorded at commit fcfc125 and re-pinned once when ties
+    on user weight went to the lexicographically least e.d.: 363 of the
+    calls changed their vertices, and nothing else.
     """
     digest = hashlib.sha256()
     for g, weights in _pinned_solve_inputs():
@@ -424,6 +424,26 @@ def test_many_tied_optima_keep_the_exact_answer(k):
     assert solve(g, unit) == solve(g, unit, mode="exact")
 
 
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("k, unit", [(40, False), (14, True)])
+def test_many_tied_optima_are_pruned(k, unit):
+    # every e.d. ties; the lexicographically least takes b + 1 and b + 4 of
+    # the C6 joined to the hub at b
+    g = g_k(k)
+    solution = solve(g, [1] * g.n if unit else None)
+    assert solution.vertices == (1,) + tuple(range(3, 6 * k + 1, 3))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_one_lightest_optimum_matches_the_oracle(k):
+    g, weights = h_k(k)
+    solution = solve(g, weights)
+    expected = oracle_ed(g, weights)
+    assert solution.exists and solution.path == "exact-fallback"
+    assert solution.user_weight == expected.user_weight
+    assert solution.vertices == expected.vertices
+
+
 def test_oracle_solutions_enumerated_once():
     # K3 + K3: each triangle contributes 3 singleton choices -> 9 e.d.s
     g = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -459,6 +479,22 @@ def test_exact_cover_fallback_returns_the_exact_mwis_answer(g, weights, rng):
     assert solution.path == "exact-fallback"
 
 
+@given(
+    st.one_of(
+        edge_sets(max_n=9).map(lambda ne: from_edge_list(*ne)), non_chordal_square_graphs()
+    ),
+    st.sampled_from([None, *WEIGHT_RANGES]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_route_returns_the_lexicographically_least_lightest_ed(g, weights, rng):
+    user = None if weights is None else [rng.randint(*WEIGHT_RANGES[weights]) for _ in range(g.n)]
+    expected = bf.least_ed(g.n, list(g.edges()), user)
+    modes = ["auto", "exact"] + (["chordal"] if is_chordal(square(g))[0] else [])
+    for mode in modes:
+        assert solve(g, user, mode).vertices == expected
+
+
 def test_auto_mode_does_not_run_mwis_exact(monkeypatch):
     import perfcode.solver
 
@@ -469,14 +505,24 @@ def test_auto_mode_does_not_run_mwis_exact(monkeypatch):
 
 
 def test_exact_cover_tie_decided_after_a_shared_pick():
-    # unweighted, the e.d.s (4, 9, 10) and (5, 6, 9) tie; mwis_exact picks
-    # 1, 0, 7 (in neither), 9 (in both, so its square neighborhood goes),
-    # then 4, which puts (4, 9, 10) first
+    # unweighted, the e.d.s (4, 9, 10) and (5, 6, 9) tie and share 9; the
+    # least vertex in which they differ is 4, so every route returns
+    # (4, 9, 10), the lexicographically least
     edges = [(0, 8), (0, 9), (1, 7), (1, 8), (1, 9), (2, 9), (3, 9), (4, 5), (4, 7)]
     edges += [(6, 7), (6, 8), (6, 10), (8, 10), (9, 11)]
     g = from_edge_list(12, edges)
     assert sorted(efficient_dominating_sets(g)) == [(4, 9, 10), (5, 6, 9)]
     assert solve(g).vertices == solve(g, mode="exact").vertices == (4, 9, 10)
+
+
+def test_exact_cover_tie_won_by_a_vertex_still_usable():
+    # unweighted, (3, 6) and (4, 5) tie and the search meets (4, 5) first;
+    # a tied node without 3, where 3 is still usable, must not be pruned
+    edges = [(0, 2), (0, 5), (0, 6), (0, 7), (0, 8), (1, 5), (1, 6), (2, 3)]
+    edges += [(2, 4), (2, 8), (3, 4), (3, 7), (4, 8), (5, 6), (5, 7), (6, 8)]
+    g = from_edge_list(9, edges)
+    assert sorted(efficient_dominating_sets(g)) == [(3, 6), (4, 5)]
+    assert solve(g).vertices == solve(g, mode="exact").vertices == (3, 6)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("chordal", "exact", "oracle"),
         default=None,
         help="one path for every component: chordal, the greedy on the square (an error if "
-        "it is not chordal); exact, the MWIS branch-and-bound on the square, the exponential "
-        "reference route; oracle, an enumeration of every e.d. without the square",
+        "it is not chordal); exact, the exact cover search, even where the square is chordal; "
+        "oracle, an enumeration of every e.d. without the square",
     )
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
 

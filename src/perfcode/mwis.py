@@ -2,10 +2,11 @@
 
 Two routes: a linear-scan greedy for chordal graphs driven by a perfect
 elimination order, and an exact branch-and-bound for arbitrary graphs, on
-an explicit stack (the reference route of ``solve(mode="exact")``).
-Weights are nonnegative integers; zero-weight vertices are never put into
-result sets. Of tied optima the exact search returns the lexicographically
-least sorted vertex tuple.
+an explicit stack. Weights are nonnegative integers; zero-weight vertices
+are never put into result sets. Of tied optima the exact search returns
+the lexicographically least sorted vertex tuple. ``solve`` runs only the
+greedy's two passes, on each chordal component square; the
+branch-and-bound is public API and the test suite's MWIS reference.
 """
 
 from __future__ import annotations
@@ -126,18 +127,6 @@ def mwis_exact(g: Graph, weights: Sequence[int]) -> MwisResult:
     for v in range(g.n):
         if w[v] > 0:
             pool |= 1 << v
-    best_mask, best_value = _mwis_exact(g, w, pool)
-    return MwisResult(_mask_to_tuple(best_mask), best_value, "branch-and-bound")
-
-
-def _mwis_exact(g: Graph, w: Sequence[int], pool: int) -> tuple[int, int]:
-    """The search of :func:`mwis_exact` over the vertices of `pool` alone.
-
-    Every vertex of `pool` must have positive weight. When `pool` is a
-    component of g, this is mwis_exact on the induced component, ids mapped
-    back: its branching and bound read only `remaining`, in ascending id.
-    Returns (mask, value) of the lexicographically least optimum.
-    """
     best_value = 0
     best_mask = 0
     stack = [(pool, 0, 0)]
@@ -156,4 +145,4 @@ def _mwis_exact(g: Graph, w: Sequence[int], pool: int) -> tuple[int, int]:
         stack.append(
             (remaining & ~g.closed_mask(pick), current_mask | (1 << pick), current_value + w[pick])
         )
-    return best_mask, best_value
+    return MwisResult(_mask_to_tuple(best_mask), best_value, "branch-and-bound")

@@ -4,8 +4,8 @@ The main pipeline reduces (weighted) efficient domination on a graph to
 maximum weight independent set on its square. A component whose square is
 chordal runs the chordal greedy; any other runs a weighted exact cover of
 the closed neighborhoods (each one a clique of the square, met exactly once
-by an e.d.). Both return the lightest e.d., lexicographically least on
-ties, as does the reference route ``mode="exact"``. A separate exact-cover
+by an e.d.), as does every component under ``mode="exact"``. Both return
+the lightest e.d., lexicographically least on ties. A separate exact-cover
 search on an explicit stack, :func:`efficient_dominating_sets`, serves the
 independent oracle; it reads candidates off closed neighborhoods and never
 touches the square, so it shares no code with the pipeline.
@@ -37,7 +37,6 @@ from .graph import (
 from .mwis import (
     _check_weights,
     _chordal_greedy,
-    _mwis_exact,
     mwis_chordal,  # not called here; bench/tracing.py wraps it by this name
     mwis_exact,  # not called here; bench/tracing.py wraps it by this name
 )
@@ -242,9 +241,8 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
 
     mode: "auto" picks per component as above; "chordal" forces the greedy
     and raises ValueError at the first component whose square is not
-    chordal; "exact" forces the branch-and-bound of :func:`mwis_exact` on
-    every component square, on the unshifted weights: the reference MWIS
-    route, exponential in the worst case; "oracle" delegates to
+    chordal; "exact" forces the exact cover search on every component,
+    chordal or not, and skips the greedy; "oracle" delegates to
     :func:`oracle_ed`, whose ties follow its enumeration order.
     Chordality is always reported; the hole / odd-antihole verdicts are
     skipped (None) when the whole graph's n is above the verification
@@ -278,7 +276,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     diagnostics = SquareDiagnostics(not non_chordal, hole_free, odd_antihole_free)
 
     nbh = closed_neighborhood_weights(g)
-    if mode == "auto" and non_chordal:
+    if non_chordal or mode == "exact":
         closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
         blocks = [mask | (1 << v) for v, mask in enumerate(sq.masks)]
     combined = [0] * g.n
@@ -287,24 +285,18 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     for component, order, _ in parts:
         if order is None and mode == "chordal":
             raise ValueError("forced chordal path but the square is not chordal")
-        if order is None and mode == "auto":
+        if order is None or mode == "exact":
             found = _min_weight_ed(closed, blocks, unit, component)
             path = "exact-fallback"
         else:
-            vertices = order if order is not None else _mask_to_tuple(component)
-            scale = 1 + sum(unit[v] for v in vertices)
-            greedy = order is not None and mode != "exact"
-            for v in vertices:
+            scale = 1 + sum(unit[v] for v in order)
+            for v in order:
                 weight = scale * nbh[v] - unit[v]
                 # v's low bit outweighs all larger ids' together: one optimum, the lex-least
-                combined[v] = weight << g.n | 1 << (g.n - 1 - v) if greedy else weight
-            if greedy:
-                # uses up this component's entries of combined as residuals
-                found = _chordal_greedy(sq.masks, combined, reversed(order))
-            else:
-                found = _mwis_exact(sq, combined, component)[0]
-                path = "exact-fallback"
-            if sum(nbh[v] for v in _mask_to_tuple(found)) != len(vertices):
+                combined[v] = weight << g.n | 1 << (g.n - 1 - v)
+            # uses up this component's entries of combined as residuals
+            found = _chordal_greedy(sq.masks, combined, reversed(order))
+            if sum(nbh[v] for v in _mask_to_tuple(found)) != len(order):
                 found = None
         if found is None:
             return EDSolution(False, None, None, path, diagnostics)

@@ -1,10 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here works on plain (n, edge list) data with its own adjacency
-handling, so it shares no code with the library under test; the two
-exceptions, :func:`chordality_certificate_by_walk` and
-:func:`hole_closings_by_walk`, are marked. Exponential
-blowup is the point: these are ground truth for small instances only.
+handling, so it shares no code with the library under test; the three
+exceptions, :func:`chordality_certificate_by_walk`,
+:func:`hole_closings_by_walk` and :func:`least_ed_by_mwis`, are marked.
+Exponential blowup is the point: these are ground truth for small
+instances only.
 """
 
 from __future__ import annotations
@@ -98,6 +99,27 @@ def least_ed(n: int, edges, weights) -> tuple[int, ...] | None:
         key=lambda d: (sum(weights[v] for v in d) if weights else 0, d),
         default=None,
     )
+
+
+def least_ed_by_mwis(g, weights=None) -> tuple[int, ...] | None:
+    """The e.d. of least weight (None: unweighted), lexicographically least on ties, or None.
+
+    Runs the library's ``mwis_exact`` on ``square(g)`` with weights
+    M * |N[v]| - w(v), M = 1 + sum(w). The closed neighborhoods of an
+    independent set of the square are disjoint, so they sum to at most n,
+    and to n exactly for an e.d.: every e.d. then outscores every other
+    independent set, and a tie in value is a tie in user weight. Of tied
+    optima ``mwis_exact`` returns the lexicographically least. Only this
+    fold is the module's: this checks ``solve`` against the paper's MWIS
+    reduction, by a search that ``solve`` never runs.
+    """
+    from perfcode import mwis_exact, square
+
+    w = list(weights) if weights is not None else [0] * g.n
+    scale = 1 + sum(w)
+    nbh = [g.degree(v) + 1 for v in range(g.n)]
+    result = mwis_exact(square(g), [scale * nbh[v] - w[v] for v in range(g.n)])
+    return result.vertices if sum(nbh[v] for v in result.vertices) == g.n else None
 
 
 def mwis_value(n: int, edges, weights) -> int:

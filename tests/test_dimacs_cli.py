@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from conftest import disjoint_union, edge_sets
 from perfcode import (
     CLASS_TAGS,
@@ -190,7 +191,7 @@ def test_cli_solve_long_cycle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exists: yes" in out and "path: exact-fallback" in out
     unit = [1] * 300
-    assert solve(cycle_graph(300), unit) == solve(cycle_graph(300), unit, mode="exact")
+    assert solve(cycle_graph(300), unit).vertices == bf.least_ed_by_mwis(cycle_graph(300), unit)
 
 
 def test_cli_solve_missing_weights_is_error(p7_file, capsys):

@@ -16,6 +16,7 @@ from perfcode import (
     find_hole,
     find_odd_antihole,
     from_edge_list,
+    gen_random_chordal,
     mwis_chordal,
     mwis_exact,
     is_chordal,
@@ -419,9 +420,9 @@ def test_many_tied_optima_keep_the_exact_answer(k):
     g = g_k(k)
     assert sum(1 for _ in efficient_dominating_sets(g)) == 2**k
     assert not is_chordal(square(g))[0]
-    assert solve(g) == solve(g, mode="exact")
+    assert solve(g).vertices == bf.least_ed_by_mwis(g)
     unit = [1] * g.n
-    assert solve(g, unit) == solve(g, unit, mode="exact")
+    assert solve(g, unit).vertices == bf.least_ed_by_mwis(g, unit)
 
 
 @pytest.mark.usefixtures("time_limit")
@@ -432,6 +433,41 @@ def test_many_tied_optima_are_pruned(k, unit):
     g = g_k(k)
     solution = solve(g, [1] * g.n if unit else None)
     assert solution.vertices == (1,) + tuple(range(3, 6 * k + 1, 3))
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_exact_mode_finds_the_one_lightest_optimum():
+    # the leaf, plus 20 per C6: its antipodal pair of weight 2 * 10
+    g, weights = h_k(18)
+    solution = solve(g, weights, mode="exact")
+    assert solution.user_weight == 1 + 20 * 18 and verify_ed(g, solution.vertices)
+
+
+def _subdivided_tree(centres: int, seed: int):
+    """gen_random_chordal(centres, 0.0, seed) with each edge replaced by a path of length 3.
+
+    The centres, ids 0..centres - 1, are then an e.d.
+    """
+    tree = gen_random_chordal(centres, 0.0, seed)
+    edges, n = [], centres
+    for u, v in tree.edges():
+        edges += [(u, n), (n, n + 1), (n + 1, v)]
+        n += 2
+    return from_edge_list(n, edges)
+
+
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_mode_on_trees_matches_auto(seed):
+    rng = random.Random(seed)
+    trees = [(gen_random_chordal(400, 0.0, seed), False), (_subdivided_tree(134, seed), True)]
+    for g, has_ed in trees:
+        user = [rng.randint(1, 20) for _ in range(g.n)]
+        for weights in (None, user):
+            auto, exact = solve(g, weights), solve(g, weights, mode="exact")
+            assert auto.path == "chordal-square" and exact.path == "exact-fallback"
+            assert (exact.exists, exact.vertices) == (has_ed, auto.vertices)
+            assert exact.user_weight == auto.user_weight
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -472,10 +508,10 @@ def non_chordal_square_graphs(draw, max_n: int = 12):
 )
 @settings(max_examples=300, deadline=None)
 def test_exact_cover_fallback_returns_the_exact_mwis_answer(g, weights, rng):
-    # mode="exact" runs mwis_exact on the square: the reference route
+    # the reference: mwis_exact on the square, with the e.d. weights folded in
     user = None if weights is None else [rng.randint(*WEIGHT_RANGES[weights]) for _ in range(g.n)]
     solution = solve(g, user)
-    assert solution == solve(g, user, mode="exact")
+    assert solution.vertices == bf.least_ed_by_mwis(g, user)
     assert solution.path == "exact-fallback"
 
 
@@ -495,13 +531,21 @@ def test_every_route_returns_the_lexicographically_least_lightest_ed(g, weights,
         assert solve(g, user, mode).vertices == expected
 
 
-def test_auto_mode_does_not_run_mwis_exact(monkeypatch):
+def test_no_mode_runs_mwis_exact(monkeypatch):
+    import perfcode.mwis
     import perfcode.solver
 
-    monkeypatch.setattr(perfcode.solver, "mwis_exact", None)
-    monkeypatch.setattr(perfcode.solver, "_mwis_exact", None)
-    solution = solve(disjoint_union(cycle_graph(6), path_graph(4)), (1, 2, 3, 4, 5, 6, 1, 1, 1, 1))
-    assert solution.vertices == (0, 3, 6, 9) and solution.path == "exact-fallback"
+    def forbidden(*args):
+        raise AssertionError("solve ran the MWIS branch-and-bound")
+
+    # the branch-and-bound computes its bound at the root, whatever name it is called by
+    monkeypatch.setattr(perfcode.solver, "mwis_exact", forbidden)
+    monkeypatch.setattr(perfcode.mwis, "_clique_cover_bound", forbidden)
+    g = disjoint_union(cycle_graph(6), path_graph(4))
+    for mode in ("auto", "exact", "oracle"):
+        solution = solve(g, (1, 2, 3, 4, 5, 6, 1, 1, 1, 1), mode)
+        assert solution.vertices == (0, 3, 6, 9)
+    assert solve(path_graph(4), mode="chordal").vertices == (0, 3)
 
 
 def test_exact_cover_tie_decided_after_a_shared_pick():
@@ -512,7 +556,7 @@ def test_exact_cover_tie_decided_after_a_shared_pick():
     edges += [(6, 7), (6, 8), (6, 10), (8, 10), (9, 11)]
     g = from_edge_list(12, edges)
     assert sorted(efficient_dominating_sets(g)) == [(4, 9, 10), (5, 6, 9)]
-    assert solve(g).vertices == solve(g, mode="exact").vertices == (4, 9, 10)
+    assert solve(g).vertices == bf.least_ed_by_mwis(g) == (4, 9, 10)
 
 
 def test_exact_cover_tie_won_by_a_vertex_still_usable():
@@ -522,7 +566,7 @@ def test_exact_cover_tie_won_by_a_vertex_still_usable():
     edges += [(2, 4), (2, 8), (3, 4), (3, 7), (4, 8), (5, 6), (5, 7), (6, 8)]
     g = from_edge_list(9, edges)
     assert sorted(efficient_dominating_sets(g)) == [(3, 6), (4, 5)]
-    assert solve(g).vertices == solve(g, mode="exact").vertices == (3, 6)
+    assert solve(g).vertices == bf.least_ed_by_mwis(g) == (3, 6)
 
 
 @pytest.mark.parametrize("seed", range(4))

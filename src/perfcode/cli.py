@@ -18,7 +18,7 @@ from pathlib import Path
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import square
 from .recognition import CLASS_TAGS, class_membership
-from .solver import DEFAULT_VERIFY_BUDGET, solve
+from .solver import DEFAULT_VERIFY_BUDGET, oracle_ed, solve
 from .verify import THEOREM_IDS, TrialConfig, gen_random_chordal, gen_random_graph, run_campaign
 
 EXIT_OK = 0
@@ -49,11 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--force-path",
-        choices=("chordal", "exact", "oracle"),
+        choices=("exact", "oracle"),
         default=None,
-        help="one path for every component: chordal, the greedy on the square (an error if "
-        "it is not chordal); exact, the exact cover search, even where the square is chordal; "
-        "oracle, an enumeration of every e.d. without the square",
+        help="exact: the exact cover search on every component, even where the square is "
+        "chordal; oracle: an enumeration of every e.d. without the square (no diagnostics)",
     )
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -137,7 +136,10 @@ def _cmd_solve(args) -> int:
         weights = gf.weights
     else:
         weights = tuple([1] * gf.graph.n)
-    solution = solve(gf.graph, weights, mode=args.force_path or "auto")
+    if args.force_path == "oracle":
+        solution = oracle_ed(gf.graph, weights)
+    else:
+        solution = solve(gf.graph, weights, mode=args.force_path or "auto")
     diag = solution.diagnostics.to_dict() if solution.diagnostics is not None else None
     if args.json:
         document = {

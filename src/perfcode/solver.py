@@ -7,18 +7,16 @@ the closed neighborhoods (each one a clique of the square, met exactly once
 by an e.d.), as does every component under ``mode="exact"``. Both return
 the lightest e.d., lexicographically least on ties. A separate exact-cover
 search on an explicit stack, :func:`efficient_dominating_sets`, serves the
-independent oracle; it reads candidates off closed neighborhoods and never
-touches the square, so it shares no code with the pipeline.
+independent oracle :func:`oracle_ed`; it reads candidates off closed
+neighborhoods and never touches the square, so it shares no code with the
+pipeline.
 
 The whole graph is squared once, and one LexBFS pass over the square,
 with the parent check, yields every connected component with its
 chordality verdict; the check stops a component at the first vertex that
 fails and builds no cycle witness. Each component is then solved in
-place, on vertex masks of the one square. The square diagnostics that
-come with a solution are polynomial up to the odd-antihole fallback:
-whether a component square has a hole is decided by the polynomial hole
-test alone, with no witness built, and the odd-antihole DFS runs only
-when the complement of that component square has a hole.
+place, on vertex masks of the one square. Every solution carries the
+square diagnostics of :class:`SquareDiagnostics`.
 """
 
 from __future__ import annotations
@@ -53,24 +51,28 @@ from .recognition import (
 #: a hole).
 DEFAULT_VERIFY_BUDGET = 30
 
-SOLVE_MODES = ("auto", "chordal", "exact", "oracle")
+SOLVE_MODES = ("auto", "exact")
 
 
 @dataclass(frozen=True)
 class SquareDiagnostics:
     """Structure verdicts for the square; None means skipped over budget.
 
+    Chordality is always reported. The hole / odd-antihole verdicts are
+    skipped (None) when the whole graph's n is above the verification
+    budget :data:`DEFAULT_VERIFY_BUDGET`. Within it they are read off the
+    component squares, since holes and antiholes are connected.
     :func:`solve` takes only the chordality verdict of each component
     square, from its one LexBFS pass over the whole square, with no cycle
     witness. A chordal square has no induced cycle of length >= 4, so no
     hole; nor an odd antihole, since every co-C_k with k >= 6 holds an
-    induced C4. A component square that is not chordal is copied out of
-    the whole square (unless it is all of it), so that the searches never
-    run on the complement of the whole square. On the copy, the hole
-    verdict comes from the polynomial hole test alone (no witness is
-    needed, so no hole DFS runs), and :func:`find_odd_antihole` runs the
-    same test on the copy's complement, so its DFS runs only when that
-    complement has a hole.
+    induced C4: no search runs. A component square that is not chordal is
+    copied out of the whole square (unless it is all of it), so that the
+    searches never run on the complement of the whole square. On the copy,
+    the hole verdict comes from the polynomial hole test alone (no witness
+    is needed, so no hole DFS runs), and :func:`find_odd_antihole` runs the
+    same test on the copy's complement, so its exhaustive DFS runs only
+    when that complement has a hole.
     """
 
     chordal: bool
@@ -234,32 +236,18 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     up n bits over a bit 2^(n - 1 - v) so that the optimum is unique; an
     e.d. exists iff the optimum's neighborhood weight covers the component.
     A non-chordal square runs an exact cover search over the closed
-    neighborhoods (path "exact-fallback"). Every mode but "oracle" returns
-    the lightest e.d., and of those the lexicographically least sorted
-    vertex tuple, per component and so for their union. Components are
-    solved in order, stopping at the first without an e.d.
+    neighborhoods (path "exact-fallback"). Either way the result is the
+    lightest e.d., and of those the lexicographically least sorted vertex
+    tuple, per component and so for their union. Components are solved in
+    order, stopping at the first without an e.d. The result carries the
+    square diagnostics of :class:`SquareDiagnostics`.
 
-    mode: "auto" picks per component as above; "chordal" forces the greedy
-    and raises ValueError at the first component whose square is not
-    chordal; "exact" forces the exact cover search on every component,
-    chordal or not, and skips the greedy; "oracle" delegates to
-    :func:`oracle_ed`, whose ties follow its enumeration order.
-    Chordality is always reported; the hole / odd-antihole verdicts are
-    skipped (None) when the whole graph's n is above the verification
-    budget :data:`DEFAULT_VERIFY_BUDGET` (30).
-    Within it (see :class:`SquareDiagnostics`) they are read off the
-    component squares, since holes and antiholes are connected: a chordal
-    square is hole-free and odd-antihole-free with no search, and each
-    non-chordal one, copied out of the square unless it is the whole
-    graph, gets the polynomial hole test and :func:`find_odd_antihole`,
-    whose exhaustive DFS runs only when that square's complement has a
-    hole.
+    mode: "auto" picks per component as above; "exact" runs the exact
+    cover search on every component, chordal or not, and skips the greedy.
     """
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
     weights = _check_weights(g, user) if user is not None else None
-    if mode == "oracle":
-        return oracle_ed(g, weights)
     unit = weights if weights is not None else (0,) * g.n
 
     sq = square(g)
@@ -283,8 +271,6 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     chosen = 0
     path = "exact-fallback" if mode == "exact" else "chordal-square"
     for component, order, _ in parts:
-        if order is None and mode == "chordal":
-            raise ValueError("forced chordal path but the square is not chordal")
         if order is None or mode == "exact":
             found = _min_weight_ed(closed, blocks, unit, component)
             path = "exact-fallback"

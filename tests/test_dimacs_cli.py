@@ -162,6 +162,46 @@ PINNED_C6_P4_11K2 = (
 )
 
 
+# `perfcode solve --force-path oracle` stdout (text, then --json) on the
+# input of each pin above, recorded at commit 8969604, when the flag still
+# went through solve
+PINNED_ORACLE = {
+    PINNED_C9_P5_K1: (
+        "exists: yes\n"
+        "set: 1 4 7 11 14 15\n"
+        "weight: 18\n"
+        "path: oracle\n"
+        "square chordal: skipped\n"
+        "square hole-free: skipped\n"
+        "square odd-antihole-free: skipped\n",
+        '{"exists": true, "set": [1, 4, 7, 11, 14, 15], "weight": 18, "path": "oracle", '
+        '"diagnostics": null, "seed": null}\n',
+    ),
+    PINNED_C7_P3: (
+        "exists: no\n"
+        "set: -\n"
+        "weight: -\n"
+        "path: oracle\n"
+        "square chordal: skipped\n"
+        "square hole-free: skipped\n"
+        "square odd-antihole-free: skipped\n",
+        '{"exists": false, "set": null, "weight": null, "path": "oracle", '
+        '"diagnostics": null, "seed": null}\n',
+    ),
+    PINNED_C6_P4_11K2: (
+        "exists: yes\n"
+        "set: 1 4 7 10 11 13 15 18 20 22 23 25 27 29 32\n"
+        "weight: 41\n"
+        "path: oracle\n"
+        "square chordal: skipped\n"
+        "square hole-free: skipped\n"
+        "square odd-antihole-free: skipped\n",
+        '{"exists": true, "set": [1, 4, 7, 10, 11, 13, 15, 18, 20, 22, 23, 25, 27, 29, 32], '
+        '"weight": 41, "path": "oracle", "diagnostics": null, "seed": null}\n',
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "parts, code, expected",
     [
@@ -179,6 +219,9 @@ def test_cli_solve_disconnected_stdout_is_pinned(tmp_path, capsys, parts, code, 
     path.write_text(write_dimacs(g, tuple(3 * v % 7 + 1 for v in range(g.n))))
     assert main(["solve", str(path)]) == code
     assert capsys.readouterr().out == expected
+    for flags, oracle_expected in zip(([], ["--json"]), PINNED_ORACLE[expected]):
+        assert main(["solve", str(path), "--force-path", "oracle", *flags]) == code
+        assert capsys.readouterr().out == oracle_expected
 
 
 @pytest.mark.usefixtures("time_limit")
@@ -352,6 +395,7 @@ _file_commands = st.one_of(
     st.tuples(
         st.just(["solve"]),
         _flag("--weights", st.sampled_from(["from-file", "unit"])),
+        # "chordal" is not a choice: it keeps the usage error (exit 2) exercised
         _flag("--force-path", st.sampled_from(["chordal", "exact", "oracle"])),
         st.sampled_from([[], ["--json"]]),
     ),
@@ -408,6 +452,13 @@ def test_cli_force_path(tmp_path, capsys, g, weights, chosen):
     code = main(["solve", str(path), "--force-path", "oracle"])
     out = capsys.readouterr().out
     assert code == 0 and "path: oracle" in out and chosen in out
+
+
+def test_cli_force_path_chordal_is_a_usage_error(c6_file, capsys):
+    # no route forces the greedy: `square chordal` in every output reports
+    # whether it ran on every component
+    assert main(["solve", str(c6_file), "--force-path", "chordal"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_verify_counterexample_exit_code(monkeypatch, capsys):

@@ -96,9 +96,9 @@ def test_solve_empty_graph():
     assert solution.exists and solution.vertices == ()
     solution = solve(from_edge_list(0, []), ())
     assert solution.exists and solution.user_weight == 0
-    solution = solve(from_edge_list(0, []), mode="oracle")
+    solution = oracle_ed(from_edge_list(0, []))
     assert solution.exists and solution.vertices == () and solution.path == "oracle"
-    solution = solve(from_edge_list(0, []), (), mode="oracle")
+    solution = oracle_ed(from_edge_list(0, []), ())
     assert solution.exists and solution.vertices == () and solution.user_weight == 0
     assert list(efficient_dominating_sets(from_edge_list(0, []))) == [()]
 
@@ -125,17 +125,18 @@ def test_non_integer_weights_are_rejected(bad):
 
 
 def test_solve_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        solve(path_graph(3), mode="quantum")
+    # no mode forces the greedy or the oracle: every result reports
+    # diagnostics.chordal and its path, and oracle_ed is called by name
+    for mode in ("quantum", "chordal", "oracle"):
+        with pytest.raises(ValueError, match=r"mode must be one of \('auto', 'exact'\)"):
+            solve(path_graph(3), mode=mode)
 
 
 def test_solve_forced_paths():
     g = path_graph(4)
+    assert solve(g).path == "chordal-square"
     assert solve(g, mode="exact").path == "exact-fallback"
-    assert solve(g, mode="oracle").path == "oracle"
-    assert solve(g, mode="chordal").path == "chordal-square"
-    with pytest.raises(ValueError, match="chordal"):
-        solve(cycle_graph(6), mode="chordal")
+    assert oracle_ed(g).path == "oracle"
 
 
 def test_solve_respects_verify_budget():
@@ -316,14 +317,15 @@ def test_oracle_outputs_are_pinned():
     assert digest.hexdigest() == ORACLE_DIGEST
 
 
-def test_forced_chordal_runs_components_in_order():
-    # C4 (square K4) comes first and has no e.d., so solving stops before C6
-    solution = solve(disjoint_union(cycle_graph(4), cycle_graph(6)), mode="chordal")
+def test_components_run_in_order():
+    # C4 (square K4) comes first and has no e.d., so solving stops before
+    # C6, whose square is not chordal, and the path stays the greedy's
+    solution = solve(disjoint_union(cycle_graph(4), cycle_graph(6)))
     assert not solution.exists and solution.path == "chordal-square"
     assert solution.diagnostics.chordal is False
-    # C6 comes first and its square is not chordal
-    with pytest.raises(ValueError, match="chordal"):
-        solve(disjoint_union(cycle_graph(6), cycle_graph(4)), mode="chordal")
+    # C6 comes first, so the exact cover runs, and C4 then has no e.d.
+    solution = solve(disjoint_union(cycle_graph(6), cycle_graph(4)))
+    assert not solution.exists and solution.path == "exact-fallback"
 
 
 @given(edge_sets(max_n=7))
@@ -526,8 +528,7 @@ def test_exact_cover_fallback_returns_the_exact_mwis_answer(g, weights, rng):
 def test_every_route_returns_the_lexicographically_least_lightest_ed(g, weights, rng):
     user = None if weights is None else [rng.randint(*WEIGHT_RANGES[weights]) for _ in range(g.n)]
     expected = bf.least_ed(g.n, list(g.edges()), user)
-    modes = ["auto", "exact"] + (["chordal"] if is_chordal(square(g))[0] else [])
-    for mode in modes:
+    for mode in ("auto", "exact"):
         assert solve(g, user, mode).vertices == expected
 
 
@@ -542,10 +543,11 @@ def test_no_mode_runs_mwis_exact(monkeypatch):
     monkeypatch.setattr(perfcode.solver, "mwis_exact", forbidden)
     monkeypatch.setattr(perfcode.mwis, "_clique_cover_bound", forbidden)
     g = disjoint_union(cycle_graph(6), path_graph(4))
-    for mode in ("auto", "exact", "oracle"):
+    for mode in ("auto", "exact"):
         solution = solve(g, (1, 2, 3, 4, 5, 6, 1, 1, 1, 1), mode)
         assert solution.vertices == (0, 3, 6, 9)
-    assert solve(path_graph(4), mode="chordal").vertices == (0, 3)
+    assert oracle_ed(g, (1, 2, 3, 4, 5, 6, 1, 1, 1, 1)).vertices == (0, 3, 6, 9)
+    assert solve(path_graph(4)).vertices == (0, 3)
 
 
 def test_exact_cover_tie_decided_after_a_shared_pick():
@@ -600,8 +602,8 @@ def test_long_cycles_need_no_recursion(make, n, path, expected):
     g = make(n)
     solution = solve(g)
     assert solution.vertices == expected and solution.path == path
-    for solution in (oracle_ed(g), solve(g, mode="oracle")):
-        assert solution.vertices == expected and solution.path == "oracle"
+    solution = oracle_ed(g)
+    assert solution.vertices == expected and solution.path == "oracle"
 
 
 @pytest.mark.usefixtures("time_limit")
@@ -621,7 +623,7 @@ MANY_COMPONENTS = {
 
 
 @pytest.mark.usefixtures("time_limit")
-@pytest.mark.parametrize("mode", ["auto", "exact", "chordal"])
+@pytest.mark.parametrize("mode", ["auto", "exact"])
 @pytest.mark.parametrize("name", list(MANY_COMPONENTS))
 def test_many_components_match_the_oracle(name, mode):
     # per-component work must not grow with n: each component is solved on
@@ -632,10 +634,6 @@ def test_many_components_match_the_oracle(name, mode):
     for piece_weights in (None, piece_user):
         user = None if piece_weights is None else piece_weights * copies
         expected = oracle_ed(piece, piece_weights)
-        if mode == "chordal" and not is_chordal(square(piece))[0]:
-            with pytest.raises(ValueError, match="chordal"):
-                solve(g, user, mode)
-            continue
         solution = solve(g, user, mode)
         assert solution.exists == expected.exists
         if expected.exists:

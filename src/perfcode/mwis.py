@@ -12,7 +12,7 @@ branch-and-bound is public API and the test suite's MWIS reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import Graph, _mask_to_tuple
 from .recognition import is_perfect_elimination_order
@@ -57,32 +57,53 @@ def mwis_chordal(g: Graph, weights: Sequence[int], peo: Sequence[int]) -> MwisRe
     order = tuple(peo)
     if not is_perfect_elimination_order(g, order):
         raise ValueError("order is not a perfect elimination order of the graph")
-    vertices = _mask_to_tuple(_chordal_greedy(g.masks, list(w), order))
+    nbr = g.masks
+    seen = [0] * g.n
+    later = 0
+    for v in reversed(order):
+        seen[v] = nbr[v] & later
+        later |= 1 << v
+    vertices = _mask_to_tuple(_chordal_greedy(seen, list(w), order[::-1]))
     return MwisResult(vertices, sum(w[v] for v in vertices), "chordal-greedy")
 
 
-def _chordal_greedy(nbr: Sequence[int], residual: list[int], peo: Iterable[int]) -> int:
-    """The two passes of :func:`mwis_chordal` on an already certified order.
+def _chordal_greedy(seen: Sequence[int], residual: list[int], order: Sequence[int]) -> int:
+    """The two passes of :func:`mwis_chordal`, over the reversal of `order`.
 
-    `residual` holds the weights by vertex id and is used up. Only the
-    entries of the order's vertices are read or written, so the order may
-    be that of one component of a larger graph. Returns the chosen mask.
+    The reversal of `order` is a certified perfect elimination order, and
+    seen[v] is the bitmask of v's neighbors before v in `order`: its later
+    neighbors in the elimination order. `residual` holds the weights by
+    vertex id and is used up. Only the entries of the order's vertices are
+    read or written, so the order may be that of one component of a
+    larger graph. A marked vertex whose later neighbors are all the
+    vertices still to come (as many as its position in `order`) charges
+    them at once: its residual goes into a running offset, subtracted from
+    each residual as it is read. So a clique costs one running maximum and
+    writes no residual; any other marked vertex charges each later
+    neighbor in turn. Returns the chosen mask.
     """
     marked: list[int] = []
-    later = (1 << len(nbr)) - 1
-    for v in peo:
-        later ^= 1 << v
-        r = residual[v]
+    offset = 0
+    for i in range(len(order) - 1, -1, -1):
+        v = order[i]
+        r = residual[v] - offset
         if r <= 0:
             continue
         marked.append(v)
-        for u in _mask_to_tuple(nbr[v] & later):
-            residual[u] -= r
-    chosen_mask = 0
+        later = seen[v]
+        if later.bit_count() == i:
+            offset += r
+            continue
+        while later:
+            low = later & -later
+            residual[low.bit_length() - 1] -= r
+            later ^= low
+    # A kept vertex is later in the elimination order than v, so only seen[v] can meet it.
+    chosen = 0
     for v in reversed(marked):
-        if not nbr[v] & chosen_mask:
-            chosen_mask |= 1 << v
-    return chosen_mask
+        if not seen[v] & chosen:
+            chosen |= 1 << v
+    return chosen
 
 
 def _clique_cover_bound(g: Graph, remaining: int, w: Sequence[int]) -> int:

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .graph import (
-    Graph, _component_mask, _mask_to_tuple, complement, cycle_graph, from_edge_list, path_graph,
+    Graph, _mask_to_tuple, complement, cycle_graph, from_edge_list, path_graph,
 )
 
 CLASS_TAGS = ("(P6,HHD)-free", "(P6,house)-free", "(P6,bull)-free", "P6-free", "chordal")
@@ -209,22 +209,29 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 
 # -- chordality ---------------------------------------------------------------
 
-def _lexbfs(g: Graph, check: bool) -> list[list]:
+def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
     """The LexBFS loop of :func:`lexbfs_order`, :func:`_chordal_peo` and :func:`is_chordal`.
 
-    Returns one ``[mask, order, failed]`` entry per connected component, in
-    the order of :func:`~perfcode.graph.connected_components`: the
-    component's vertex bitmask, its visit order and None. A visit whose
-    cell has no visited member (``last == -1``) has no visited neighbor, so
-    it starts the next component; LexBFS finishes a component before it
-    leaves it, and starts the next at the least unvisited vertex, so each
-    order is the LexBFS order of the induced component, ids mapped back.
-    With `check`, a component whose visit v fails the parent check gets
-    order None and ``failed = (v, seen)``, seen being the bitmask of v's
-    visited neighbors: its remaining vertices are dropped at once, from
-    `unvisited` and from the one cell with ``last == -1`` (which holds every
-    unvisited vertex with no visited neighbor), and the loop goes on with
-    the next component.
+    Returns the parts and the `seen` masks. The parts hold one ``[mask,
+    order, failed]`` entry per connected component, in the order of
+    :func:`~perfcode.graph.connected_components`: the component's vertex
+    bitmask, its visit order and None. A visit whose cell has no visited
+    member (``last == -1``) has no visited neighbor, so it starts the next
+    component; LexBFS finishes a component before it leaves it, and starts
+    the next at the least unvisited vertex, so each order is the LexBFS
+    order of the induced component, ids mapped back.
+
+    With `check`, ``seen[v]`` is the bitmask of v's neighbors visited
+    before v (0 without `check`): on a chordal component, v's later
+    neighbors in the perfect elimination order. A component whose visit v
+    fails the parent check gets order None and ``failed = (v, seen[v])``,
+    and its remaining vertices are dropped at once. At most one cell has
+    ``last == -1``, the last one: it holds every unvisited vertex with no
+    visited neighbor. Every other unvisited vertex sees a visited one, so
+    it lies in this component and is dropped with no row read; a BFS from
+    them (and from v's unvisited neighbors) over that last cell finds the
+    rest of the component and stops once the cell is used up. The loop
+    goes on with the next component, from what is left of that cell.
     """
     n = g.n
     nbr = g.masks
@@ -237,6 +244,7 @@ def _lexbfs(g: Graph, check: bool) -> list[list]:
     unvisited = (1 << n) - 1
     # Each pair first holds `unvisited` before its component started.
     parts = []
+    seen_of = [0] * n
     while head >= 0:
         first = members[head] & -members[head]
         members[head] ^= first
@@ -255,13 +263,25 @@ def _lexbfs(g: Graph, check: bool) -> list[list]:
             order.append(v)
             if check:
                 # v's visited neighbors, p among them: all but p must see p
-                seen = nbr[v] ^ nb
+                seen = seen_of[v] = nbr[v] ^ nb
                 if seen & nbr[p] != seen ^ (1 << p):
                     parts[-1][1:] = None, (v, seen)
-                    unvisited &= ~_component_mask(nbr, first)
+                    reached, c = nb, head
+                    while c >= 0 and last[c] >= 0:
+                        reached |= members[c]
+                        c = nxt[c]
+                    rest = members[c] & ~nb if c >= 0 else 0
+                    frontier = reached
+                    while frontier and rest:
+                        low = frontier & -frontier
+                        fresh = nbr[low.bit_length() - 1] & rest
+                        rest ^= fresh
+                        reached |= fresh
+                        frontier = (frontier ^ low) | fresh
+                    unvisited ^= reached
                     # What is left sees no visited vertex: it is all in the last cell.
                     if unvisited:
-                        head = cell_of[(unvisited & -unvisited).bit_length() - 1]
+                        head = c
                         members[head] = unvisited
                         prv[head] = -1
                     else:
@@ -309,7 +329,7 @@ def _lexbfs(g: Graph, check: bool) -> list[list]:
                 cell_of[low.bit_length() - 1] = k
     for i in range(len(parts) - 1):
         parts[i][0] ^= parts[i + 1][0]
-    return parts
+    return parts, seen_of
 
 
 def lexbfs_order(g: Graph) -> tuple[int, ...]:
@@ -346,7 +366,7 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     is the LexBFS order of that induced component, ids mapped back.
     """
     order = []
-    for _, part, _ in _lexbfs(g, False):
+    for _, part, _ in _lexbfs(g, False)[0]:
         order += part
     return tuple(order)
 
@@ -365,7 +385,7 @@ def _peo(parts: list[list]) -> tuple[int, ...] | None:
 
 def _chordal_peo(g: Graph) -> tuple[int, ...] | None:
     """The reversed LexBFS order, a perfect elimination order, if g is chordal, else None."""
-    return _peo(_lexbfs(g, True))
+    return _peo(_lexbfs(g, True)[0])
 
 
 def is_perfect_elimination_order(g: Graph, order) -> bool:
@@ -428,7 +448,7 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
     runs through v and two nonadjacent visited neighbors of it, and the rest
     of the cycle is a path the search finds. The AssertionError guards this.
     """
-    parts = _lexbfs(g, True)
+    parts = _lexbfs(g, True)[0]
     peo = _peo(parts)
     if peo is not None:
         return True, peo

@@ -175,18 +175,21 @@ def _min_weight_ed(
     """The least-weight e.d. of one component, lexicographically least on ties, or None.
 
     `component` is the vertex mask of a connected component of the graph,
-    `closed` its closed neighborhoods and `blocks` those of its square, all
-    by vertex id of the whole graph. Weighted exact cover of the closed
-    neighborhoods, depth-first on an explicit stack: branch on the
-    uncovered vertex with the fewest candidates (closed neighbors outside
-    the square's closed neighborhood of every chosen vertex, i.e. whose own
-    closed neighborhood is still uncovered; the scan stops at the first
-    with 0 or 1), candidates in ascending id. A node is pruned when it is
-    heavier than the best e.d. so far, or as heavy and no leaf below it can
-    hold the least vertex that tells it from that e.d.: every leaf lies
-    between `chosen` and `chosen | usable`, and weights are nonnegative.
-    So a leaf that is reached always replaces the best. Returns the e.d. as
-    a vertex mask.
+    `closed` its closed neighborhoods and `blocks` the open rows of its
+    square, read in place, all by vertex id of the whole graph. Weighted
+    exact cover of the closed neighborhoods, depth-first on an explicit
+    stack: branch on the uncovered vertex with the fewest candidates
+    (closed neighbors still usable: outside the square row of every chosen
+    vertex, i.e. whose own closed neighborhood is still uncovered; the scan
+    stops at the first with 0 or 1), candidates in ascending id, pushed
+    from the highest bit of the candidate mask down. A chosen vertex c
+    stays usable, as its square row is open, but is never a candidate
+    again: every u with c in N[u] lies in N[c], which is covered. A node
+    is pruned when it is heavier than the best e.d. so far, or as heavy
+    and no leaf below it can hold the least vertex that tells it from that
+    e.d.: every leaf lies between `chosen` and `chosen | usable`, and
+    weights are nonnegative. So a leaf that is reached always replaces the
+    best. Returns the e.d. as a vertex mask.
     """
     best_weight = -1
     best = 0
@@ -211,7 +214,9 @@ def _min_weight_ed(
                 if count <= 1:
                     break
             rest ^= low
-        for c in reversed(_mask_to_tuple(pick)):
+        while pick:
+            c = pick.bit_length() - 1
+            pick ^= 1 << c
             stack.append(
                 (covered | closed[c], usable & ~blocks[c], chosen | (1 << c), weight + user[c])
             )
@@ -235,12 +240,21 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     outscores every other independent set, lightest e.d. first), shifted
     up n bits over a bit 2^(n - 1 - v) so that the optimum is unique; an
     e.d. exists iff the optimum's neighborhood weight covers the component.
+    The greedy charges each vertex's residual along the visited-neighbor
+    masks that LexBFS kept, and a vertex that sees every vertex still to
+    come charges them all as one offset.
     A non-chordal square runs an exact cover search over the closed
     neighborhoods (path "exact-fallback"). Either way the result is the
     lightest e.d., and of those the lexicographically least sorted vertex
     tuple, per component and so for their union. Components are solved in
     order, stopping at the first without an e.d. The result carries the
     square diagnostics of :class:`SquareDiagnostics`.
+
+    Cost: a graph of diameter at most 2 has a complete square, which is
+    chordal. Squaring stops each row once it is full (on a dense graph,
+    after a few neighbor rows); then LexBFS hits its one cell at every
+    visit and the greedy is one running maximum, so past the square the
+    component costs O(n) row steps, not one step per edge of the square.
 
     mode: "auto" picks per component as above; "exact" runs the exact
     cover search on every component, chordal or not, and skips the greedy.
@@ -251,7 +265,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     unit = weights if weights is not None else (0,) * g.n
 
     sq = square(g)
-    parts = _lexbfs(sq, True)
+    parts, seen = _lexbfs(sq, True)
     non_chordal = [mask for mask, order, _ in parts if order is None]
     hole_free = odd_antihole_free = None
     if g.n <= DEFAULT_VERIFY_BUDGET:
@@ -266,13 +280,12 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     nbh = closed_neighborhood_weights(g)
     if non_chordal or mode == "exact":
         closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
-        blocks = [mask | (1 << v) for v, mask in enumerate(sq.masks)]
     combined = [0] * g.n
     chosen = 0
     path = "exact-fallback" if mode == "exact" else "chordal-square"
     for component, order, _ in parts:
         if order is None or mode == "exact":
-            found = _min_weight_ed(closed, blocks, unit, component)
+            found = _min_weight_ed(closed, sq.masks, unit, component)
             path = "exact-fallback"
         else:
             scale = 1 + sum(unit[v] for v in order)
@@ -281,7 +294,7 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
                 # v's low bit outweighs all larger ids' together: one optimum, the lex-least
                 combined[v] = weight << g.n | 1 << (g.n - 1 - v)
             # uses up this component's entries of combined as residuals
-            found = _chordal_greedy(sq.masks, combined, reversed(order))
+            found = _chordal_greedy(seen, combined, order)
             if sum(nbh[v] for v in _mask_to_tuple(found)) != len(order):
                 found = None
         if found is None:

@@ -49,6 +49,20 @@ def edge_sets(draw, max_n: int = 8, min_n: int = 0):
     return n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
 
 
+@st.composite
+def dense_graphs(draw, max_n: int = 12, min_n: int = 0):
+    """A G(n, p) graph with p >= 0.5: its square is often complete."""
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.floats(0.5, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def complete_graph(n: int):
+    """K_n on 0..n-1."""
+    return from_edge_list(n, list(combinations(range(n), 2)))
+
+
 def disjoint_union(*graphs):
     """Disjoint union of graphs, ids shifted in the given order."""
     edges, offset = [], 0

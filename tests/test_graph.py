@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import edge_sets
+from conftest import dense_graphs, disjoint_union, edge_sets
 from perfcode import (
     Graph,
     closed_neighborhood_weights,
@@ -194,6 +194,37 @@ def test_square_matches_distance_brute_force(ne):
     n, edges = ne
     sq = square(from_edge_list(n, edges))
     assert {frozenset(e) for e in sq.edges()} == bf.square_edges(n, edges)
+
+
+@given(dense_graphs(max_n=12), dense_graphs(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_square_of_dense_graphs_matches_distance_brute_force(g, h):
+    # the rows of a dense graph fill early and stop; those of a union never fill
+    for x in (g, disjoint_union(g, h)):
+        edges = list(x.edges())
+        assert {frozenset(e) for e in square(x).edges()} == bf.square_edges(x.n, edges)
+
+
+class _CountedRows(tuple):
+    """Neighbor masks that count their reads by index."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_square_stops_each_row_once_it_is_full():
+    # vertex 0 sees every other vertex: each row is full after reading row 0
+    # (row 0, after row 1), where reading every neighbor's row reads 2m rows
+    n = 40
+    g = from_edge_list(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if u == 0 or (u * v) % 3]
+    )
+    rows = _CountedRows(g.masks)
+    rows.reads = 0
+    sq = square(Graph._built(rows))
+    assert rows.reads <= 2 * n < g.edge_count
+    assert sq.edge_count == n * (n - 1) // 2
 
 
 @given(edge_sets(max_n=12))

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import edge_sets
+from conftest import complete_graph, dense_graphs, edge_sets
 from perfcode import (
     closed_neighborhood_weights,
     cycle_graph,
@@ -17,6 +17,8 @@ from perfcode import (
     path_graph,
     square,
 )
+from perfcode.mwis import _chordal_greedy
+from perfcode.recognition import _lexbfs
 
 
 def test_chordal_greedy_on_p3():
@@ -120,6 +122,72 @@ def test_chordal_greedy_matches_exact_on_random_chordal(n, fill, seed):
     assert bf.is_independent(bf.adjacency(n, g.edges()), greedy.vertices)
     assert sum(w[v] for v in greedy.vertices) == greedy.value
     assert greedy.value == exact.value
+
+
+@st.composite
+def split_graphs(draw, max_n: int = 14):
+    """A clique 0..k-1 and an independent set after it, each member seeing
+    some of the clique; with a perfect elimination order, the independent
+    set first, then the clique in a drawn order."""
+    k = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, max_n - k))
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    for x in range(k, k + m):
+        edges += [(c, x) for c in draw(st.sets(st.integers(0, k - 1)))]
+    clique = draw(st.permutations(range(k)))
+    return from_edge_list(k + m, edges), (*range(k, k + m), *clique)
+
+
+@st.composite
+def dense_chordal_graphs(draw):
+    """K_n, a split graph or gen_random_chordal(n, 0.9, seed), with a perfect elimination order."""
+    kind = draw(st.sampled_from(["clique", "split", "chordal 0.9"]))
+    if kind == "clique":
+        n = draw(st.integers(1, 14))
+        return complete_graph(n), tuple(draw(st.permutations(range(n))))
+    if kind == "split":
+        return draw(split_graphs())
+    g = gen_random_chordal(draw(st.integers(1, 30)), 0.9, draw(st.integers(0, 2**32 - 1)))
+    return g, is_chordal(g)[1]
+
+
+@given(dense_chordal_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_chordal_greedy_matches_exact_on_dense_chordal_graphs(g_peo, data):
+    # weights 0..2: many ties and zeros on the offset path
+    g, peo = g_peo
+    w = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    greedy = mwis_chordal(g, w, peo)
+    exact = mwis_exact(g, w)
+    assert bf.is_independent(bf.adjacency(g.n, g.edges()), greedy.vertices)
+    assert all(w[v] > 0 for v in greedy.vertices)
+    assert greedy.value == sum(w[v] for v in greedy.vertices) == exact.value
+
+
+class _CountedResiduals(list):
+    """Residual weights that count their writes."""
+
+    writes = 0
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
+@given(dense_graphs(min_n=1, max_n=40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_chordal_greedy_on_a_clique_square_writes_no_residual(g, data):
+    sq = square(g)
+    assume(sq.edge_count == g.n * (g.n - 1) // 2)
+    [(_, order, _)], seen = _lexbfs(sq, True)
+    w = data.draw(st.lists(st.integers(0, 5), min_size=g.n, max_size=g.n))
+    residual = _CountedResiduals(w)
+    chosen = _chordal_greedy(seen, residual, order)
+    # one running maximum: the first vertex of greatest weight in the elimination order
+    heaviest = max(w)
+    expected = 0 if heaviest == 0 else 1 << next(v for v in reversed(order) if w[v] == heaviest)
+    assert chosen == expected
+    assert residual.writes == 0
 
 
 @given(edge_sets(max_n=7), st.integers(0, 2**32 - 1))

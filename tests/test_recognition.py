@@ -386,7 +386,7 @@ def sparse_graphs(draw, max_n: int = 30):
 
 def _component_verdicts(g):
     """_lexbfs's component pass against each induced component; its verdicts."""
-    parts = _lexbfs(g, True)
+    parts, seen = _lexbfs(g, True)
     components = connected_components(g)
     assert [mask for mask, _, _ in parts] == [sum(1 << v for v in c) for c in components]
     for (mask, order, failed), component in zip(parts, components):
@@ -395,14 +395,19 @@ def _component_verdicts(g):
         if order is not None:
             assert order == [component[v] for v in lexbfs_order(sub)]
             assert failed is None
+            # each visit's mask holds exactly its neighbors visited before it
+            for i, v in enumerate(order):
+                assert seen[v] == g.masks[v] & sum(1 << u for u in order[:i])
         else:
             # the failing visit and its visited neighbors, which are not a clique
-            v, seen = failed
-            assert (mask >> v) & 1 and seen & mask == seen and not (seen >> v) & 1
-            assert seen & ~g.masks[v] == 0
-            visited = [u for u in range(g.n) if (seen >> u) & 1]
+            v, before = failed
+            assert before == seen[v]
+            assert (mask >> v) & 1 and before & mask == before and not (before >> v) & 1
+            assert before & ~g.masks[v] == 0
+            visited = [u for u in range(g.n) if (before >> u) & 1]
             assert any(not g.adjacent(u, w) for u, w in combinations(visited, 2))
-    unchecked = _lexbfs(g, False)
+    unchecked, unseen = _lexbfs(g, False)
+    assert unseen == [0] * g.n
     assert [order for _, order, _ in unchecked] == [
         [component[v] for v in lexbfs_order(induced_subgraph(g, component)[0])]
         for component in components

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import disjoint_union, edge_sets, g_k, h_k, planted_ed_graph
+from conftest import (
+    complete_graph, dense_graphs, disjoint_union, edge_sets, g_k, h_k, planted_ed_graph,
+)
 from perfcode import (
     closed_neighborhood_weights,
     complete_sun,
@@ -641,3 +643,54 @@ def test_many_components_match_the_oracle(name, mode):
             assert len(solution.vertices) == copies * len(expected.vertices)
         if piece_weights is not None and expected.exists:
             assert solution.user_weight == copies * expected.user_weight
+
+
+# -- dense graphs: complete squares -------------------------------------------
+
+def _assert_matches_the_references(g, user):
+    """solve against the least e.d. by enumeration and against oracle_ed."""
+    got = solve(g, user)
+    expected = bf.least_ed(g.n, list(g.edges()), user)
+    oracle = oracle_ed(g, user)
+    assert got.exists == oracle.exists == (expected is not None)
+    if expected is not None:
+        assert got.vertices == expected
+        assert got.user_weight == oracle.user_weight == sum(user[v] for v in expected)
+
+
+@given(dense_graphs(max_n=12), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_solve_on_dense_graphs_matches_the_references(g, seed):
+    rng = random.Random(seed)
+    _assert_matches_the_references(g, [rng.randint(0, 3) for _ in range(g.n)])
+
+
+@given(st.lists(dense_graphs(min_n=1, max_n=4), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_solve_on_unions_of_dense_graphs_matches_the_references(pieces, seed):
+    # an offset that one component's greedy charges must stop at its component
+    g = disjoint_union(*pieces)
+    rng = random.Random(seed)
+    _assert_matches_the_references(g, [rng.randint(0, 3) for _ in range(g.n)])
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (1, 5, 2), (6, 6)])
+def test_solve_on_unions_of_cliques(sizes):
+    # each clique's square is itself: one vertex per clique, the lightest
+    g = disjoint_union(*[complete_graph(k) for k in sizes])
+    user = [(7 * v) % 5 + 1 for v in range(g.n)]
+    got = solve(g, user)
+    assert got.path == "chordal-square" and got.diagnostics.chordal
+    _assert_matches_the_references(g, user)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_complete_square_without_an_ed(n):
+    # K_n minus a perfect matching has diameter 2, so a complete square,
+    # and no e.d.: a vertex misses its partner, and two chosen vertices
+    # dominate each other or, as partners, every third vertex twice
+    g = from_edge_list(n, [(u, v) for u, v in combinations(range(n), 2) if v != u + 1 or u % 2])
+    assert square(g).edge_count == n * (n - 1) // 2
+    got = solve(g)
+    assert not got.exists and got.path == "chordal-square" and got.diagnostics.chordal
+    _assert_matches_the_references(g, [1] * n)

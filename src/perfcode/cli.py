@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
@@ -49,10 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--force-path",
-        choices=("exact", "oracle"),
+        choices=("oracle",),
         default=None,
-        help="exact: the exact cover search on every component, even where the square is "
-        "chordal; oracle: an enumeration of every e.d. without the square (no diagnostics)",
+        help="oracle: an enumeration of every e.d. without the square (no diagnostics); "
+        "without it each component's square picks its route",
     )
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -139,8 +140,8 @@ def _cmd_solve(args) -> int:
     if args.force_path == "oracle":
         solution = oracle_ed(gf.graph, weights)
     else:
-        solution = solve(gf.graph, weights, mode=args.force_path or "auto")
-    diag = solution.diagnostics.to_dict() if solution.diagnostics is not None else None
+        solution = solve(gf.graph, weights)
+    diag = asdict(solution.diagnostics) if solution.diagnostics is not None else None
     if args.json:
         document = {
             "exists": solution.exists,

@@ -203,27 +203,22 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 
     Components are sorted by their smallest vertex; each is a sorted tuple.
     """
+    nbr = g.masks
     components = []
     rest = (1 << g.n) - 1
     while rest:
-        mask = _component_mask(g.masks, rest & -rest)
+        mask = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            fresh = nbr[low.bit_length() - 1] & ~mask
+            mask |= fresh
+            frontier = (frontier ^ low) | fresh
         rest ^= mask
         components.append(_mask_to_tuple(mask))
     return components
 
 
 # -- small helpers shared across modules ------------------------------------
-
-def _component_mask(nbr: Sequence[int], first: int) -> int:
-    """The bitmask of the connected component holding the one-bit mask `first`."""
-    component = frontier = first
-    while frontier:
-        low = frontier & -frontier
-        fresh = nbr[low.bit_length() - 1] & ~component
-        component |= fresh
-        frontier = (frontier ^ low) | fresh
-    return component
-
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     """The set bits of mask, ascending."""

@@ -4,12 +4,12 @@ The main pipeline reduces (weighted) efficient domination on a graph to
 maximum weight independent set on its square. A component whose square is
 chordal runs the chordal greedy; any other runs a weighted exact cover of
 the closed neighborhoods (each one a clique of the square, met exactly once
-by an e.d.), as does every component under ``mode="exact"``. Both return
-the lightest e.d., lexicographically least on ties. A separate exact-cover
-search on an explicit stack, :func:`efficient_dominating_sets`, serves the
-independent oracle :func:`oracle_ed`; it reads candidates off closed
-neighborhoods and never touches the square, so it shares no code with the
-pipeline.
+by an e.d.). The square alone picks the route; no option overrides it.
+Both return the lightest e.d., lexicographically least on ties. A separate
+exact-cover search on an explicit stack, :func:`efficient_dominating_sets`,
+serves the independent oracle :func:`oracle_ed`; it reads candidates off
+closed neighborhoods and never touches the square, so it shares no code
+with the pipeline.
 
 The whole graph is squared once, and one LexBFS pass over the square,
 with the parent check, yields every connected component with its
@@ -51,8 +51,6 @@ from .recognition import (
 #: a hole).
 DEFAULT_VERIFY_BUDGET = 30
 
-SOLVE_MODES = ("auto", "exact")
-
 
 @dataclass(frozen=True)
 class SquareDiagnostics:
@@ -78,13 +76,6 @@ class SquareDiagnostics:
     chordal: bool
     hole_free: bool | None
     odd_antihole_free: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "chordal": self.chordal,
-            "hole_free": self.hole_free,
-            "odd_antihole_free": self.odd_antihole_free,
-        }
 
 
 @dataclass(frozen=True)
@@ -223,7 +214,7 @@ def _min_weight_ed(
     return best if best_weight >= 0 else None
 
 
-def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> EDSolution:
+def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     """Minimum-weight efficient domination via MWIS on the square.
 
     Squares the whole graph once: the square of a disjoint union is the
@@ -244,23 +235,19 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     masks that LexBFS kept, and a vertex that sees every vertex still to
     come charges them all as one offset.
     A non-chordal square runs an exact cover search over the closed
-    neighborhoods (path "exact-fallback"). Either way the result is the
-    lightest e.d., and of those the lexicographically least sorted vertex
-    tuple, per component and so for their union. Components are solved in
-    order, stopping at the first without an e.d. The result carries the
-    square diagnostics of :class:`SquareDiagnostics`.
+    neighborhoods; the path reads "exact-fallback" from the first such
+    component on. No option overrides the square's choice. Either way the
+    result is the lightest e.d., and of those the lexicographically least
+    sorted vertex tuple, per component and so for their union. Components
+    are solved in order, stopping at the first without an e.d. The result
+    carries the square diagnostics of :class:`SquareDiagnostics`.
 
     Cost: a graph of diameter at most 2 has a complete square, which is
     chordal. Squaring stops each row once it is full (on a dense graph,
     after a few neighbor rows); then LexBFS hits its one cell at every
     visit and the greedy is one running maximum, so past the square the
     component costs O(n) row steps, not one step per edge of the square.
-
-    mode: "auto" picks per component as above; "exact" runs the exact
-    cover search on every component, chordal or not, and skips the greedy.
     """
-    if mode not in SOLVE_MODES:
-        raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
     weights = _check_weights(g, user) if user is not None else None
     unit = weights if weights is not None else (0,) * g.n
 
@@ -278,13 +265,13 @@ def solve(g: Graph, user: Sequence[int] | None = None, mode: str = "auto") -> ED
     diagnostics = SquareDiagnostics(not non_chordal, hole_free, odd_antihole_free)
 
     nbh = closed_neighborhood_weights(g)
-    if non_chordal or mode == "exact":
+    if non_chordal:
         closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
     combined = [0] * g.n
     chosen = 0
-    path = "exact-fallback" if mode == "exact" else "chordal-square"
+    path = "chordal-square"
     for component, order, _ in parts:
-        if order is None or mode == "exact":
+        if order is None:
             found = _min_weight_ed(closed, sq.masks, unit, component)
             path = "exact-fallback"
         else:

@@ -395,7 +395,7 @@ _file_commands = st.one_of(
     st.tuples(
         st.just(["solve"]),
         _flag("--weights", st.sampled_from(["from-file", "unit"])),
-        # "chordal" is not a choice: it keeps the usage error (exit 2) exercised
+        # only "oracle" is a choice: the others keep the usage error (exit 2) exercised
         _flag("--force-path", st.sampled_from(["chordal", "exact", "oracle"])),
         st.sampled_from([[], ["--json"]]),
     ),
@@ -458,6 +458,13 @@ def test_cli_force_path_chordal_is_a_usage_error(c6_file, capsys):
     # no route forces the greedy: `square chordal` in every output reports
     # whether it ran on every component
     assert main(["solve", str(c6_file), "--force-path", "chordal"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_force_path_exact_is_a_usage_error(c6_file, capsys):
+    # each component's square picks its route; the oracle, which does not
+    # use the square, is the one route the flag can force
+    assert main(["solve", str(c6_file), "--force-path", "exact"]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from collections import Counter
 from itertools import combinations
@@ -32,7 +33,7 @@ from perfcode import (
 from perfcode.solver import efficient_dominating_sets
 
 WEIGHT_RANGES = {"unit": (1, 1), "0..3": (0, 3), "1..20": (1, 20)}
-SOLVE_DIGEST = "80cfba2f59715cc2dc3058c2ae28eb29d350d665ce70941dee4cf7d2e313265f"
+SOLVE_DIGEST = "ce7a617e878c995e92b00801d76579b70fdf8fd9d34520c1bba18b5b79ad9622"
 ORACLE_DIGEST = "c11fc9ac3ae4aadf037561bb0ee456665939b942f43576fb8a50751c6428b211"
 
 
@@ -127,17 +128,18 @@ def test_non_integer_weights_are_rejected(bad):
 
 
 def test_solve_rejects_unknown_mode():
-    # no mode forces the greedy or the oracle: every result reports
-    # diagnostics.chordal and its path, and oracle_ed is called by name
-    for mode in ("quantum", "chordal", "oracle"):
-        with pytest.raises(ValueError, match=r"mode must be one of \('auto', 'exact'\)"):
+    # each component's square picks its route, so solve takes no mode;
+    # every result reports diagnostics.chordal and its path, and oracle_ed
+    # is the cross-check, called by name
+    assert list(inspect.signature(solve).parameters) == ["g", "user"]
+    for mode in ("exact", "chordal", "oracle"):
+        with pytest.raises(TypeError, match="mode"):
             solve(path_graph(3), mode=mode)
 
 
 def test_solve_forced_paths():
     g = path_graph(4)
     assert solve(g).path == "chordal-square"
-    assert solve(g, mode="exact").path == "exact-fallback"
     assert oracle_ed(g).path == "oracle"
 
 
@@ -291,17 +293,18 @@ def _pinned_solve_inputs(count=1500):
 
 
 def test_solve_outputs_are_pinned():
-    """Whole solve results, diagnostics included, on 6,000 calls.
+    """Whole solve results, diagnostics included, on 3,000 calls.
 
     The digest was recorded at commit fcfc125 and re-pinned once when ties
     on user weight went to the lexicographically least e.d.: 363 of the
-    calls changed their vertices, and nothing else.
+    calls changed their vertices, and nothing else. It was re-pinned once
+    more when solve lost its mode, to the digest of this loop (without
+    mode="exact") at commit 01e35da, so no output of solve changed.
     """
     digest = hashlib.sha256()
     for g, weights in _pinned_solve_inputs():
-        for mode in ("auto", "exact"):
-            for user in (None, weights):
-                digest.update(repr(solve(g, user, mode)).encode() + b"\n")
+        for user in (None, weights):
+            digest.update(repr(solve(g, user)).encode() + b"\n")
     assert digest.hexdigest() == SOLVE_DIGEST
 
 
@@ -440,10 +443,11 @@ def test_many_tied_optima_are_pruned(k, unit):
 
 
 @pytest.mark.usefixtures("time_limit")
-def test_exact_mode_finds_the_one_lightest_optimum():
+def test_exact_cover_finds_the_one_lightest_optimum():
     # the leaf, plus 20 per C6: its antipodal pair of weight 2 * 10
     g, weights = h_k(18)
-    solution = solve(g, weights, mode="exact")
+    solution = solve(g, weights)
+    assert solution.path == "exact-fallback"
     assert solution.user_weight == 1 + 20 * 18 and verify_ed(g, solution.vertices)
 
 
@@ -463,15 +467,19 @@ def _subdivided_tree(centres: int, seed: int):
 @pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("seed", range(3))
 def test_exact_mode_on_trees_matches_auto(seed):
+    # the greedy on 400-vertex trees against the exact enumeration of
+    # oracle_ed, which does not use the square
     rng = random.Random(seed)
     trees = [(gen_random_chordal(400, 0.0, seed), False), (_subdivided_tree(134, seed), True)]
     for g, has_ed in trees:
         user = [rng.randint(1, 20) for _ in range(g.n)]
         for weights in (None, user):
-            auto, exact = solve(g, weights), solve(g, weights, mode="exact")
-            assert auto.path == "chordal-square" and exact.path == "exact-fallback"
-            assert (exact.exists, exact.vertices) == (has_ed, auto.vertices)
-            assert exact.user_weight == auto.user_weight
+            auto, oracle = solve(g, weights), oracle_ed(g, weights)
+            assert auto.path == "chordal-square"
+            assert auto.exists == oracle.exists == has_ed
+            assert auto.user_weight == oracle.user_weight
+            if has_ed:
+                assert verify_ed(g, auto.vertices)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -530,8 +538,7 @@ def test_exact_cover_fallback_returns_the_exact_mwis_answer(g, weights, rng):
 def test_every_route_returns_the_lexicographically_least_lightest_ed(g, weights, rng):
     user = None if weights is None else [rng.randint(*WEIGHT_RANGES[weights]) for _ in range(g.n)]
     expected = bf.least_ed(g.n, list(g.edges()), user)
-    for mode in ("auto", "exact"):
-        assert solve(g, user, mode).vertices == expected
+    assert solve(g, user).vertices == expected
 
 
 def test_no_mode_runs_mwis_exact(monkeypatch):
@@ -545,9 +552,7 @@ def test_no_mode_runs_mwis_exact(monkeypatch):
     monkeypatch.setattr(perfcode.solver, "mwis_exact", forbidden)
     monkeypatch.setattr(perfcode.mwis, "_clique_cover_bound", forbidden)
     g = disjoint_union(cycle_graph(6), path_graph(4))
-    for mode in ("auto", "exact"):
-        solution = solve(g, (1, 2, 3, 4, 5, 6, 1, 1, 1, 1), mode)
-        assert solution.vertices == (0, 3, 6, 9)
+    assert solve(g, (1, 2, 3, 4, 5, 6, 1, 1, 1, 1)).vertices == (0, 3, 6, 9)
     assert oracle_ed(g, (1, 2, 3, 4, 5, 6, 1, 1, 1, 1)).vertices == (0, 3, 6, 9)
     assert solve(path_graph(4)).vertices == (0, 3)
 
@@ -625,9 +630,8 @@ MANY_COMPONENTS = {
 
 
 @pytest.mark.usefixtures("time_limit")
-@pytest.mark.parametrize("mode", ["auto", "exact"])
 @pytest.mark.parametrize("name", list(MANY_COMPONENTS))
-def test_many_components_match_the_oracle(name, mode):
+def test_many_components_match_the_oracle(name):
     # per-component work must not grow with n: each component is solved on
     # masks of the one square, with no length-n list built per component
     piece, copies = MANY_COMPONENTS[name]
@@ -636,7 +640,7 @@ def test_many_components_match_the_oracle(name, mode):
     for piece_weights in (None, piece_user):
         user = None if piece_weights is None else piece_weights * copies
         expected = oracle_ed(piece, piece_weights)
-        solution = solve(g, user, mode)
+        solution = solve(g, user)
         assert solution.exists == expected.exists
         if expected.exists:
             assert verify_ed(g, solution.vertices)

@@ -167,19 +167,18 @@ def complement(g: Graph) -> Graph:
     return Graph._built(tuple([full ^ mask ^ (1 << v) for v, mask in enumerate(g.masks)]))
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by the given vertex set, plus the old->new id map.
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced by the given vertex set.
 
-    The new graph relabels the (deduplicated, sorted) vertex set to 0..k-1.
-    Each row is compressed bit by bit: every kept vertex's old id maps to
-    its new position bit, and one walk over the row's bits inside the kept
-    set ORs them together.
+    The new graph relabels the (deduplicated, sorted) vertex set to 0..k-1,
+    in order. Each row is compressed bit by bit: every kept vertex's old id
+    maps to its new position bit, and one walk over the row's bits inside
+    the kept set ORs them together.
     """
     keep = sorted(set(vertices))
     for v in keep:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range [0, {g.n})")
-    remap = {old: new for new, old in enumerate(keep)}
     position = [0] * g.n
     inside = 0
     for new, old in enumerate(keep):
@@ -195,7 +194,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
             row ^= low
             mask |= position[low.bit_length() - 1]
         masks.append(mask)
-    return Graph._built(tuple(masks)), remap
+    return Graph._built(tuple(masks))
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

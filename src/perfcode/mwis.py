@@ -1,12 +1,13 @@
 """Maximum weight independent set solvers.
 
-Two routes: a linear-scan greedy for chordal graphs driven by a perfect
-elimination order, and an exact branch-and-bound for arbitrary graphs, on
-an explicit stack. Weights are nonnegative integers; zero-weight vertices
-are never put into result sets. Of tied optima the exact search returns
-the lexicographically least sorted vertex tuple. ``solve`` runs only the
-greedy's two passes, on each chordal component square; the
-branch-and-bound is public API and the test suite's MWIS reference.
+Two routes: a linear-scan greedy for chordal graphs, over the perfect
+elimination order of the checked LexBFS pass (never a caller's order),
+and an exact branch-and-bound for arbitrary graphs, on an explicit stack.
+Weights are nonnegative integers; zero-weight vertices are never put into
+result sets. Of tied optima the exact search returns the lexicographically
+least sorted vertex tuple. ``solve`` runs the greedy on each chordal
+component square; the branch-and-bound is public API and the test
+suite's MWIS reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, _mask_to_tuple
-from .recognition import is_perfect_elimination_order
+from .recognition import _lexbfs
 
 
 @dataclass(frozen=True)
@@ -45,25 +46,25 @@ def _check_weights(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     return w
 
 
-def mwis_chordal(g: Graph, weights: Sequence[int], peo: Sequence[int]) -> MwisResult:
+def mwis_chordal(g: Graph, weights: Sequence[int]) -> MwisResult:
     """Maximum weight independent set of a chordal graph.
 
-    Two passes over a verified perfect elimination order: scan forward
+    Frank's two passes over each component's perfect elimination order,
+    from the checked LexBFS pass ``solve`` runs on a square: scan forward
     keeping residual weights, marking each vertex whose residual is still
-    positive and charging that residual to its later neighbors; then scan
-    the marked vertices backward, keeping each one with no kept neighbor.
+    positive and charging it to its later neighbors; then scan the marked
+    vertices backward, keeping each one with no kept neighbor. Raises
+    ValueError if the graph is not chordal.
     """
     w = _check_weights(g, weights)
-    order = tuple(peo)
-    if not is_perfect_elimination_order(g, order):
-        raise ValueError("order is not a perfect elimination order of the graph")
-    nbr = g.masks
-    seen = [0] * g.n
-    later = 0
-    for v in reversed(order):
-        seen[v] = nbr[v] & later
-        later |= 1 << v
-    vertices = _mask_to_tuple(_chordal_greedy(seen, list(w), order[::-1]))
+    parts, seen = _lexbfs(g, True)
+    residual = list(w)
+    chosen = 0
+    for _, order, _ in parts:
+        if order is None:
+            raise ValueError("graph is not chordal")
+        chosen |= _chordal_greedy(seen, residual, order)
+    vertices = _mask_to_tuple(chosen)
     return MwisResult(vertices, sum(w[v] for v in vertices), "chordal-greedy")
 
 

@@ -210,28 +210,31 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 # -- chordality ---------------------------------------------------------------
 
 def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
-    """The LexBFS loop of :func:`lexbfs_order`, :func:`_chordal_peo` and :func:`is_chordal`.
+    """The LexBFS loop of :func:`lexbfs_order`; checked, the one source of elimination orders.
 
-    Returns the parts and the `seen` masks. The parts hold one ``[mask,
-    order, failed]`` entry per connected component, in the order of
-    :func:`~perfcode.graph.connected_components`: the component's vertex
-    bitmask, its visit order and None. A visit whose cell has no visited
-    member (``last == -1``) has no visited neighbor, so it starts the next
-    component; LexBFS finishes a component before it leaves it, and starts
-    the next at the least unvisited vertex, so each order is the LexBFS
-    order of the induced component, ids mapped back.
+    :func:`is_chordal`, :func:`is_class_member`,
+    :func:`~perfcode.mwis.mwis_chordal` and :func:`~perfcode.solver.solve`
+    all run it with `check`. Returns the parts and the `seen` masks. The
+    parts hold one ``[mask, order, failed]`` entry per connected
+    component, in the order of :func:`~perfcode.graph.connected_components`:
+    the component's vertex bitmask, its visit order and None. A visit whose
+    cell has no visited member (``last == -1``) has no visited neighbor, so
+    it starts the next component; LexBFS finishes a component before it
+    leaves it, and starts the next at the least unvisited vertex, so each
+    order is the LexBFS order of the induced component, ids mapped back.
 
     With `check`, ``seen[v]`` is the bitmask of v's neighbors visited
     before v (0 without `check`): on a chordal component, v's later
     neighbors in the perfect elimination order. A component whose visit v
-    fails the parent check gets order None and ``failed = (v, seen[v])``,
-    and its remaining vertices are dropped at once. At most one cell has
-    ``last == -1``, the last one: it holds every unvisited vertex with no
-    visited neighbor. Every other unvisited vertex sees a visited one, so
-    it lies in this component and is dropped with no row read; a BFS from
-    them (and from v's unvisited neighbors) over that last cell finds the
-    rest of the component and stops once the cell is used up. The loop
-    goes on with the next component, from what is left of that cell.
+    fails the parent check gets order None and ``failed = v``, whose
+    visited neighbors are ``seen[v]``, and its remaining vertices are
+    dropped at once. At most one cell has ``last == -1``, the last one: it
+    holds every unvisited vertex with no visited neighbor. Every other
+    unvisited vertex sees a visited one, so it lies in this component and
+    is dropped with no row read; a BFS from them (and from v's unvisited
+    neighbors) over that last cell finds the rest of the component and
+    stops once the cell is used up. The loop goes on with the next
+    component, from what is left of that cell.
     """
     n = g.n
     nbr = g.masks
@@ -265,7 +268,7 @@ def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
                 # v's visited neighbors, p among them: all but p must see p
                 seen = seen_of[v] = nbr[v] ^ nb
                 if seen & nbr[p] != seen ^ (1 << p):
-                    parts[-1][1:] = None, (v, seen)
+                    parts[-1][1:] = None, v
                     reached, c = nb, head
                     while c >= 0 and last[c] >= 0:
                         reached |= members[c]
@@ -349,15 +352,16 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     The members of a cell have the same visited neighbors, so each cell
     also keeps `last`, the most recently visited of them (-1 for none),
     which is the parent p of whichever member is visited next. This costs
-    O(1) per touched cell. :func:`is_chordal` runs the same loop once, with
-    the parent check of Tarjan and Yannakakis ("Simple linear-time
-    algorithms to test chordality of graphs, test acyclicity of hypergraphs,
-    and selectively reduce acyclic hypergraphs", SIAM J. Comput. 1984) at
-    each visit v: the reversed order is a perfect elimination order iff
-    every visited neighbor of v other than p is adjacent to p. It stops a
-    component at its first failing vertex, which proves it not chordal and
-    yields the witness, and goes on with the next; this function runs the
-    loop to the end.
+    O(1) per touched cell. The checked pass of :func:`is_chordal`,
+    :func:`~perfcode.mwis.mwis_chordal` and :func:`~perfcode.solver.solve`
+    runs the same loop once, with the parent check of Tarjan and
+    Yannakakis ("Simple linear-time algorithms to test chordality of
+    graphs, test acyclicity of hypergraphs, and selectively reduce acyclic
+    hypergraphs", SIAM J. Comput. 1984) at each visit v: the reversed
+    order is a perfect elimination order iff every visited neighbor of v
+    other than p is adjacent to p. It stops a component at its first
+    failing vertex, which proves it not chordal and yields the witness, and
+    goes on with the next; this function runs the loop to the end.
 
     A cell with no visited member (`last` = -1) holds only vertices with no
     visited neighbor, so a visit from it starts a new connected component:
@@ -369,23 +373,6 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     for _, part, _ in _lexbfs(g, False)[0]:
         order += part
     return tuple(order)
-
-
-def _peo(parts: list[list]) -> tuple[int, ...] | None:
-    """The reversed visit order of a checked :func:`_lexbfs` pass; None if any part failed."""
-    # A list first: tuple() over a chain of the parts grows by resizing,
-    # which raised campaign peak RSS by about 5%.
-    peo = []
-    for _, order, _ in reversed(parts):
-        if order is None:
-            return None
-        peo += reversed(order)
-    return tuple(peo)
-
-
-def _chordal_peo(g: Graph) -> tuple[int, ...] | None:
-    """The reversed LexBFS order, a perfect elimination order, if g is chordal, else None."""
-    return _peo(_lexbfs(g, True)[0])
 
 
 def is_perfect_elimination_order(g: Graph, order) -> bool:
@@ -448,11 +435,16 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
     runs through v and two nonadjacent visited neighbors of it, and the rest
     of the cycle is a path the search finds. The AssertionError guards this.
     """
-    parts = _lexbfs(g, True)[0]
-    peo = _peo(parts)
-    if peo is not None:
-        return True, peo
-    v, seen = next(failed for _, _, failed in parts if failed is not None)
+    parts, seen_of = _lexbfs(g, True)
+    v = next((failed for _, _, failed in parts if failed is not None), None)
+    if v is None:
+        # A list first: tuple() over a chain of the parts grows by resizing,
+        # which raised campaign peak RSS by about 5%.
+        peo = []
+        for _, order, _ in reversed(parts):
+            peo += reversed(order)
+        return True, tuple(peo)
+    seen = seen_of[v]
     for u in _mask_to_tuple(seen):
         for w in _mask_to_tuple(seen & ~g.masks[u] & -(2 << u)):
             witness = _cycle_from_triple(g, v, u, w)
@@ -728,7 +720,7 @@ def is_class_member(g: Graph, class_tag: str) -> bool:
     """
     _check_class_tag(class_tag)
     if class_tag == "chordal":
-        return _chordal_peo(g) is not None
+        return all(order is not None for _, order, _ in _lexbfs(g, True)[0])
     if class_tag in _HOLE_PATTERNS and _has_hole(g):
         return False
     return all(find_pattern(g, kind) is None for kind in _SEARCH_ORDER[class_tag])

@@ -257,7 +257,7 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     hole_free = odd_antihole_free = None
     if g.n <= DEFAULT_VERIFY_BUDGET:
         copies = [
-            sq if len(parts) == 1 else induced_subgraph(sq, _mask_to_tuple(mask))[0]
+            sq if len(parts) == 1 else induced_subgraph(sq, _mask_to_tuple(mask))
             for mask in non_chordal
         ]
         hole_free = all(not _has_hole(h) for h in copies)

@@ -17,7 +17,7 @@ import hashlib
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -114,18 +114,10 @@ class VerificationReport:
             raise ValueError(f"verdict tallies {total} do not add up to {self.trials} trials")
 
     def to_document(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "seed": self.seed,
-            "corpus": self.corpus,
-            "budget": self.budget,
-            "trials": self.trials,
-            "held": self.held,
-            "held_trivially": self.held_trivially,
-            "vacuous": self.vacuous,
-            "skipped": self.skipped,
-            "counterexamples": list(self.counterexamples),
-        }
+        document = asdict(self)
+        del document["wall_clock_s"]
+        document["counterexamples"] = list(document["counterexamples"])
+        return document
 
     def to_text(self) -> str:
         lines = [

@@ -160,11 +160,10 @@ def test_criterion_6_chordal_greedy_matches_exact():
         g = gen_random_chordal(n, fill, rng.randrange(1 << 32))
         weights = [rng.randint(1, 100) for _ in range(n)]
         adj = bf.adjacency(n, g.edges())
-        chordal, peo = is_chordal(g)
-        if not chordal:
+        if not is_chordal(g)[0]:
             ok = False
             break
-        greedy = mwis_chordal(g, weights, peo)
+        greedy = mwis_chordal(g, weights)
         exact = mwis_exact(g, weights)
         if greedy.value != exact.value:
             ok = False

@@ -111,7 +111,7 @@ def test_derived_graphs_pass_the_checked_constructor(ne, data):
     g = from_edge_list(n, edges)
     doubled = from_edge_list(n, [*edges, *((v, u) for u, v in edges)])
     keep = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
-    for h in (g, doubled, square(g), complement(g), induced_subgraph(g, keep)[0]):
+    for h in (g, doubled, square(g), complement(g), induced_subgraph(g, keep)):
         assert isinstance(h.masks, tuple)
         assert Graph(h.n, h.masks) == h
 
@@ -168,12 +168,12 @@ def test_complement_of_triangle_is_edgeless():
 
 def test_induced_subgraph_examples():
     p4 = path_graph(4)
-    sub, remap = induced_subgraph(p4, [0, 1, 2])
-    assert sub == path_graph(3) and remap == {0: 0, 1: 1, 2: 2}
-    sub, remap = induced_subgraph(p4, [0, 3])
-    assert sub.edge_count == 0 and remap == {0: 0, 3: 1}
-    sub, _ = induced_subgraph(cycle_graph(6), [0, 1, 2, 3, 4])
-    assert sub == path_graph(5)
+    assert induced_subgraph(p4, [0, 1, 2]) == path_graph(3)
+    assert induced_subgraph(p4, [0, 3]) == from_edge_list(2, [])
+    assert induced_subgraph(cycle_graph(6), [0, 1, 2, 3, 4]) == path_graph(5)
+    # the kept ids, deduplicated and sorted, become 0..k-1 in order: 0, 2, 3 -> 0, 1, 2
+    g = from_edge_list(4, [(0, 3), (1, 2)])
+    assert induced_subgraph(g, [3, 0, 2, 3]) == from_edge_list(3, [(0, 2)])
 
 
 def test_induced_subgraph_rejects_out_of_range():

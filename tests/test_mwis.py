@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import complete_graph, dense_graphs, edge_sets
+from conftest import complete_graph, dense_graphs, disjoint_union, edge_sets
 from perfcode import (
     closed_neighborhood_weights,
+    complete_sun,
     cycle_graph,
     from_edge_list,
     gen_random_chordal,
@@ -25,7 +26,7 @@ def test_chordal_greedy_on_p3():
     # enumeration gives {1} with value 3
     g = path_graph(3)
     assert bf.mwis_value(3, list(g.edges()), (1, 3, 1)) == 3
-    result = mwis_chordal(g, (1, 3, 1), (0, 2, 1))
+    result = mwis_chordal(g, (1, 3, 1))
     assert result.vertices == (1,) and result.value == 3
     assert result.method == "chordal-greedy"
 
@@ -34,28 +35,26 @@ def test_chordal_greedy_on_star():
     # take all three leaves (value 6) over the heavy center (value 5)
     g = from_edge_list(4, [(3, 0), (3, 1), (3, 2)])
     assert bf.mwis_value(4, list(g.edges()), (2, 2, 2, 5)) == 6
-    result = mwis_chordal(g, (2, 2, 2, 5), (0, 1, 2, 3))
+    result = mwis_chordal(g, (2, 2, 2, 5))
     assert result.vertices == (0, 1, 2) and result.value == 6
 
 
 def test_chordal_greedy_single_vertex():
     g = from_edge_list(1, [])
-    result = mwis_chordal(g, (7,), (0,))
+    result = mwis_chordal(g, (7,))
     assert result.vertices == (0,) and result.value == 7
 
 
-def test_chordal_greedy_rejects_bad_orders():
-    g = path_graph(3)
-    with pytest.raises(ValueError, match="permutation"):
-        mwis_chordal(g, (1, 1, 1), (0, 1))
-    # 1 first: its later neighbors {0, 2} are not a clique
-    with pytest.raises(ValueError, match="perfect elimination"):
-        mwis_chordal(g, (1, 1, 1), (1, 0, 2))
+def test_chordal_greedy_rejects_non_chordal_graphs():
+    for g in (cycle_graph(4), square(complete_sun(4))):
+        assert not is_chordal(g)[0]
+        with pytest.raises(ValueError, match="not chordal"):
+            mwis_chordal(g, (1,) * g.n)
 
 
 def test_chordal_greedy_skips_zero_weight_vertices():
     g = from_edge_list(3, [])
-    result = mwis_chordal(g, (0, 2, 0), (0, 1, 2))
+    result = mwis_chordal(g, (0, 2, 0))
     assert result.vertices == (1,)
 
 
@@ -113,51 +112,58 @@ def test_exact_matches_subset_enumeration(ne, seed):
 @settings(max_examples=60, deadline=None)
 def test_chordal_greedy_matches_exact_on_random_chordal(n, fill, seed):
     g = gen_random_chordal(n, fill, seed)
-    ok, peo = is_chordal(g)
-    assert ok
+    assert is_chordal(g)[0]
     rng = random.Random(seed ^ 0xC0FFEE)
     w = [rng.randint(1, 100) for _ in range(n)]
-    greedy = mwis_chordal(g, w, peo)
+    greedy = mwis_chordal(g, w)
     exact = mwis_exact(g, w)
     assert bf.is_independent(bf.adjacency(n, g.edges()), greedy.vertices)
     assert sum(w[v] for v in greedy.vertices) == greedy.value
     assert greedy.value == exact.value
 
 
+@given(st.lists(st.tuples(st.integers(1, 15), st.floats(0.0, 0.9)), min_size=2, max_size=4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chordal_greedy_matches_exact_on_disjoint_unions(pieces, seed):
+    # one greedy per component, all on one residual list
+    g = disjoint_union(*(gen_random_chordal(n, fill, seed + i) for i, (n, fill) in enumerate(pieces)))
+    rng = random.Random(seed)
+    w = [rng.randint(0, 9) for _ in range(g.n)]
+    greedy = mwis_chordal(g, w)
+    assert bf.is_independent(bf.adjacency(g.n, g.edges()), greedy.vertices)
+    assert greedy.value == sum(w[v] for v in greedy.vertices) == mwis_exact(g, w).value
+
+
 @st.composite
 def split_graphs(draw, max_n: int = 14):
     """A clique 0..k-1 and an independent set after it, each member seeing
-    some of the clique; with a perfect elimination order, the independent
-    set first, then the clique in a drawn order."""
+    some of the clique."""
     k = draw(st.integers(1, max_n))
     m = draw(st.integers(0, max_n - k))
     edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
     for x in range(k, k + m):
         edges += [(c, x) for c in draw(st.sets(st.integers(0, k - 1)))]
-    clique = draw(st.permutations(range(k)))
-    return from_edge_list(k + m, edges), (*range(k, k + m), *clique)
+    return from_edge_list(k + m, edges)
 
 
 @st.composite
 def dense_chordal_graphs(draw):
-    """K_n, a split graph or gen_random_chordal(n, 0.9, seed), with a perfect elimination order."""
+    """K_n, a split graph or gen_random_chordal(n, 0.9, seed)."""
     kind = draw(st.sampled_from(["clique", "split", "chordal 0.9"]))
     if kind == "clique":
-        n = draw(st.integers(1, 14))
-        return complete_graph(n), tuple(draw(st.permutations(range(n))))
+        return complete_graph(draw(st.integers(1, 14)))
     if kind == "split":
         return draw(split_graphs())
-    g = gen_random_chordal(draw(st.integers(1, 30)), 0.9, draw(st.integers(0, 2**32 - 1)))
-    return g, is_chordal(g)[1]
+    return gen_random_chordal(draw(st.integers(1, 30)), 0.9, draw(st.integers(0, 2**32 - 1)))
 
 
 @given(dense_chordal_graphs(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_chordal_greedy_matches_exact_on_dense_chordal_graphs(g_peo, data):
+def test_chordal_greedy_matches_exact_on_dense_chordal_graphs(g, data):
     # weights 0..2: many ties and zeros on the offset path
-    g, peo = g_peo
     w = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
-    greedy = mwis_chordal(g, w, peo)
+    greedy = mwis_chordal(g, w)
     exact = mwis_exact(g, w)
     assert bf.is_independent(bf.adjacency(g.n, g.edges()), greedy.vertices)
     assert all(w[v] > 0 for v in greedy.vertices)

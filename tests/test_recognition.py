@@ -35,7 +35,6 @@ from perfcode import (
 from perfcode import recognition
 from perfcode.recognition import (
     CLASS_TAGS,
-    _chordal_peo,
     _constraint_table,
     _embeddings,
     _has_hole,
@@ -304,10 +303,14 @@ def test_is_perfect_elimination_order_rejects_non_permutation():
 
 
 def _assert_chordal_peo(g):
-    """_chordal_peo against the whole LexBFS order and the full PEO scan."""
+    """is_chordal's order and is_class_member's verdict against the whole LexBFS order
+    and the full PEO scan."""
     order = tuple(reversed(lexbfs_order(g)))
-    expected = order if is_perfect_elimination_order(g, order) else None
-    assert _chordal_peo(g) == expected
+    chordal = is_perfect_elimination_order(g, order)
+    ok, cert = is_chordal(g)
+    assert ok == is_class_member(g, "chordal") == chordal
+    if ok:
+        assert cert == order
 
 
 @given(edge_sets(max_n=12))
@@ -316,9 +319,9 @@ def test_chordal_peo_matches_brute_force(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
     for h in (g, square(g), complement(g)):
-        peo = _chordal_peo(h)
-        assert (peo is not None) == bf.is_chordal(h.n, list(h.edges()))
-        if peo is not None:
+        ok, peo = is_chordal(h)
+        assert ok == is_class_member(h, "chordal") == bf.is_chordal(h.n, list(h.edges()))
+        if ok:
             assert peo == tuple(reversed(lexbfs_order(h)))
 
 
@@ -362,16 +365,16 @@ CHORDAL_PEO_TABLE = {
 def test_chordal_peo_on_named_graphs(name):
     g, chordal = CHORDAL_PEO_TABLE[name]
     assert bf.is_chordal(g.n, list(g.edges())) == chordal
-    assert (_chordal_peo(g) is not None) == chordal
+    assert is_class_member(g, "chordal") == chordal
     _assert_chordal_peo(g)
 
 
 @pytest.mark.usefixtures("time_limit")
 def test_chordal_peo_on_long_inputs():
-    assert _chordal_peo(square(cycle_graph(3000))) is None
+    assert not is_class_member(square(cycle_graph(3000)), "chordal")
     tree = gen_random_chordal(8000, 0.0, 1)
-    peo = _chordal_peo(tree)
-    assert peo == tuple(reversed(lexbfs_order(tree)))
+    ok, peo = is_chordal(tree)
+    assert ok and peo == tuple(reversed(lexbfs_order(tree)))
     assert is_perfect_elimination_order(tree, peo)
 
 
@@ -390,8 +393,8 @@ def _component_verdicts(g):
     components = connected_components(g)
     assert [mask for mask, _, _ in parts] == [sum(1 << v for v in c) for c in components]
     for (mask, order, failed), component in zip(parts, components):
-        sub = induced_subgraph(g, component)[0]
-        assert (order is not None) == (_chordal_peo(sub) is not None)
+        sub = induced_subgraph(g, component)
+        assert (order is not None) == is_class_member(sub, "chordal")
         if order is not None:
             assert order == [component[v] for v in lexbfs_order(sub)]
             assert failed is None
@@ -399,17 +402,21 @@ def _component_verdicts(g):
             for i, v in enumerate(order):
                 assert seen[v] == g.masks[v] & sum(1 << u for u in order[:i])
         else:
-            # the failing visit and its visited neighbors, which are not a clique
-            v, before = failed
-            assert before == seen[v]
+            # the failing visit: the first whose earlier neighbors in the whole
+            # LexBFS order are not a clique; seen[v] holds those neighbors
+            earlier = 0
+            for v in (component[u] for u in lexbfs_order(sub)):
+                before = g.masks[v] & earlier
+                visited = [u for u in range(g.n) if (before >> u) & 1]
+                if any(not g.adjacent(u, w) for u, w in combinations(visited, 2)):
+                    break
+                earlier |= 1 << v
+            assert failed == v and seen[v] == before
             assert (mask >> v) & 1 and before & mask == before and not (before >> v) & 1
-            assert before & ~g.masks[v] == 0
-            visited = [u for u in range(g.n) if (before >> u) & 1]
-            assert any(not g.adjacent(u, w) for u, w in combinations(visited, 2))
     unchecked, unseen = _lexbfs(g, False)
     assert unseen == [0] * g.n
     assert [order for _, order, _ in unchecked] == [
-        [component[v] for v in lexbfs_order(induced_subgraph(g, component)[0])]
+        [component[v] for v in lexbfs_order(induced_subgraph(g, component))]
         for component in components
     ]
     assert all(failed is None for _, _, failed in unchecked)
@@ -444,7 +451,7 @@ def test_component_pass_goes_on_after_a_failing_component(name):
     pieces, verdicts = COMPONENT_PASS_TABLE[name]
     sq = square(disjoint_union(*pieces))
     assert _component_verdicts(sq) == verdicts
-    assert (_chordal_peo(sq) is not None) == all(verdicts)
+    assert is_class_member(sq, "chordal") == all(verdicts)
     assert is_chordal(sq) == bf.chordality_certificate_by_walk(sq)
 
 
@@ -620,8 +627,8 @@ def test_hole_closings_match_the_walk_on_square_complements():
         p = rng.uniform(0.1, 0.4)
         sq = square(from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
         for component in connected_components(sq):
-            h = induced_subgraph(sq, component)[0]
-            if _chordal_peo(h) is not None:
+            h = induced_subgraph(sq, component)
+            if is_class_member(h, "chordal"):
                 continue
             co_h = complement(h)
             searched += _has_hole(co_h)

@@ -13,11 +13,8 @@ re-validated.
 
 from __future__ import annotations
 
-import logging
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
-
-logger = logging.getLogger(__name__)
 
 
 class Graph:
@@ -126,7 +123,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     if duplicates:
-        logger.warning("collapsed %d duplicate edge(s)", duplicates)
+        import logging  # only here, so that importing perfcode loads no logging
+        logging.getLogger(__name__).warning("collapsed %d duplicate edge(s)", duplicates)
     return Graph._built(tuple(masks))
 
 

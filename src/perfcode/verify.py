@@ -13,13 +13,21 @@ a fixed splitting function, independent of execution order.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Iterator
+
+# The interpreter's built-in SHA-256, as random.py takes its SHA-512.
+try:
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from .graph import Graph, from_edge_list, square
 from .recognition import (
@@ -189,8 +197,13 @@ def enumerate_all_graphs(max_n: int) -> Iterator[Graph]:
             yield from_edge_list(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
 
 
-def _split_seed(master: int, index: int) -> int:
-    digest = hashlib.sha256(f"{master}:{index}".encode()).digest()
+def _split_seed(master: int, index: int | str) -> int:
+    """The first 8 bytes of SHA-256 of ``"master:index"``, as an integer.
+
+    The built-in SHA-256 gives hashlib's digest without mapping OpenSSL's
+    libcrypto into every process that imports perfcode.
+    """
+    digest = sha256(f"{master}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

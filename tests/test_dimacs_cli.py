@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import disjoint_union, edge_sets
+from conftest import disjoint_union, edge_sets, run_from_checkout
 from perfcode import (
     CLASS_TAGS,
     THEOREM_IDS,
@@ -333,6 +333,24 @@ def test_cli_parse_error_exit_1(tmp_path, capsys):
     path.write_text("p edge 2 1\ne 1 1\n")
     assert main(["solve", str(path)]) == 1
     assert "self-loop" in capsys.readouterr().err
+
+
+def test_cli_warns_on_duplicate_edges(tmp_path):
+    """A collapsed duplicate edge is reported on stderr and changes no answer.
+
+    A fresh process has no logging configured, so the warning of the lazily
+    imported logging reaches stderr through its last-resort handler.
+    """
+    plain = tmp_path / "p3.col"
+    plain.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    doubled = tmp_path / "p3-doubled.col"
+    doubled.write_text("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")
+    expected = run_from_checkout(["-m", "perfcode.cli", "solve", str(plain)])
+    proc = run_from_checkout(["-m", "perfcode.cli", "solve", str(doubled)])
+    assert b"collapsed 1 duplicate edge(s)" in proc.stderr
+    assert b"duplicate" not in expected.stderr
+    assert (proc.returncode, proc.stdout) == (expected.returncode, expected.stdout)
+    assert expected.returncode == 0 and b"exists: yes" in expected.stdout
 
 
 def test_cli_out_of_memory_exit_1(monkeypatch, p7_file, capsys):

@@ -77,6 +77,14 @@ def test_split_seed_is_stable_and_distinct():
     assert _split_seed(42, 1) != _split_seed(43, 1)
 
 
+@pytest.mark.parametrize("master", [0, 1, 2**63, -5])
+@pytest.mark.parametrize("index", [0, 1, 449, "planted:3", "tree:0", "campaign:449", "chordal:7"])
+def test_split_seed_matches_hashlib_sha256(master, index):
+    """The built-in SHA-256 gives hashlib's digest, so every seed stays the same."""
+    digest = hashlib.sha256(f"{master}:{index}".encode()).digest()
+    assert _split_seed(master, index) == int.from_bytes(digest[:8], "big")
+
+
 def test_enumerate_all_graphs_counts():
     counts = {}
     for g in enumerate_all_graphs(4):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
@@ -216,14 +216,10 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = run_campaign(config)
-    if args.json:
-        document = report.to_document()
-        document["counterexamples"] = [
-            _counterexample_1based(r) for r in document["counterexamples"]
-        ]
-        print(json.dumps(document))
-    else:
-        print(report.to_text())
+    report = replace(
+        report, counterexamples=tuple(_counterexample_1based(r) for r in report.counterexamples)
+    )
+    print(json.dumps(report.to_document()) if args.json else report.to_text())
     print(f"wall clock: {report.wall_clock_s:.2f}s", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 

@@ -1,9 +1,9 @@
 """Immutable simple undirected graphs on dense integer vertex ids.
 
-Vertices are always 0..n-1. A graph keeps one neighbor bitmask per vertex
-and nothing else, as the read-only tuple ``masks``; sorted neighbor tuples,
-degrees and edges are derived from the masks on each call. All operations
-are pure and return new graphs.
+Vertices are always 0..n-1. A graph is a frozen dataclass that keeps one
+neighbor bitmask per vertex and nothing else, as the tuple ``masks``; sorted
+neighbor tuples, degrees and edges are derived from the masks on each call.
+Graphs copy and pickle; all operations are pure and return new graphs.
 
 ``Graph(n, masks)`` checks the masks it is given. The graphs this module
 derives (:func:`from_edge_list`, :func:`square`, :func:`complement`,
@@ -13,29 +13,38 @@ re-validated.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """A simple undirected graph: no loops, no multi-edges, ids 0..n-1.
 
     ``Graph(n, masks)`` keeps one neighbor bitmask per vertex (bit u of
     masks[v] set iff v~u), readable as the tuple ``masks``, and checks that
     they describe a simple graph; :func:`from_edge_list` builds one from
-    edges. Callers index ``masks`` directly and iterate ``range(n)``.
+    edges. Callers index ``masks`` directly and iterate ``range(n)``. A
+    frozen dataclass: graphs with equal masks are equal and hash equal,
+    refuse assignment, and copy and pickle without being re-checked.
     """
 
-    __slots__ = ("n", "masks")
+    n: int
+    masks: tuple[int, ...]
 
-    def __init__(self, n: int, masks: Sequence[int]):
+    def __post_init__(self):
         """Check that the masks are in range, loop-free and symmetric."""
+        n, masks = self.n, tuple(self.masks)
+        if not isinstance(n, int):
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         if len(masks) != n:
             raise ValueError(f"adjacency has {len(masks)} rows for n={n}")
-        masks = tuple(masks)
         for v, mask in enumerate(masks):
+            if not isinstance(mask, int):
+                raise ValueError(f"neighbor mask {mask!r} at vertex {v} is not an int")
             if mask < 0:
                 raise ValueError(f"negative neighbor mask {mask} at vertex {v}")
             if (mask >> v) & 1:
@@ -51,7 +60,6 @@ class Graph:
                 if not (masks[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency: {v} lists {u} but not vice versa")
                 mask ^= low
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", masks)
 
     @classmethod
@@ -61,9 +69,6 @@ class Graph:
         object.__setattr__(g, "n", len(masks))
         object.__setattr__(g, "masks", masks)
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -90,12 +95,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.masks) // 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash(self.masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

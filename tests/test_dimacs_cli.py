@@ -515,3 +515,8 @@ def test_cli_verify_counterexample_exit_code(monkeypatch, capsys):
     assert out_record["edges"] == [[1, 2], [2, 3]]
     assert out_record["ed"] == [2]
     assert out_record["witness"] == ["C3", [1, 2, 3]]
+    # text mode prints the same 1-based record
+    assert main(["verify-theorems", "--theorem", "T2", "--trials", "1"]) == 4
+    text = capsys.readouterr().out
+    assert "theorem T2: 1 counterexample(s)" in text
+    assert "'edges': [[1, 2], [2, 3]], 'ed': [2], 'witness': ['C3', [1, 2, 3]]" in text

@@ -1,5 +1,8 @@
+import copy
 import logging
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +62,9 @@ def test_from_edge_list_rejects_out_of_range():
         (3, [0b010, 0, 0], "asymmetric adjacency: 0 lists 1"),
         (3, [0, 0], "2 rows for n=3"),
         (-1, [], "vertex count must be >= 0"),
+        (2, [0.5, 0], "neighbor mask 0.5 at vertex 0 is not an int"),
+        (1, ["a"], "neighbor mask 'a' at vertex 0 is not an int"),
+        (2.0, [0, 0], "vertex count must be an int, got 2.0"),
     ],
 )
 def test_graph_rejects_bad_masks(n, masks, message):
@@ -122,6 +128,28 @@ def test_graph_is_immutable():
         g.n = 5
     with pytest.raises(AttributeError):
         g.masks = (0, 0, 0)
+    with pytest.raises(FrozenInstanceError):
+        del g.masks
+    assert g.masks == (0b010, 0b101, 0b010)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        from_edge_list(4, [(0, 1), (1, 2), (2, 3)]),
+        square(cycle_graph(9)),
+        Graph(3, [0b110, 0b001, 0b001]),
+        Graph(0, []),
+    ],
+    ids=["from_edge_list", "square", "checked", "empty"],
+)
+def test_graph_copies_and_pickles(g):
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is Graph
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.n == g.n and twin.masks == g.masks
+        with pytest.raises(FrozenInstanceError):
+            twin.n = g.n + 1
 
 
 def test_square_of_p4():

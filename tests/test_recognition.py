@@ -490,6 +490,11 @@ def test_is_perfect_desk_examples():
     bipartite = from_edge_list(6, [(0, 3), (0, 4), (1, 4), (2, 5)])
     assert is_perfect_desk(bipartite) == (True, None)
     assert is_perfect_desk(square(cycle_graph(6)))[0]
+    # C7's complement has no odd hole, so only the antihole search finds it
+    antihole = complement(cycle_graph(7))
+    ok, witness = is_perfect_desk(antihole)
+    assert not ok and str(witness) == "co-C7[0 1 2 3 4 5 6]"
+    assert witness_is_valid(antihole, witness)
 
 
 @given(edge_sets(max_n=10))

@@ -505,12 +505,13 @@ def _has_hole(g: Graph) -> bool:
 
 
 def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int, ...]]:
-    """Every induced cycle of length >= min_length, once each, in DFS order.
+    """Every hole of length >= min_length, once each, in DFS order.
 
-    When min_length >= 5, the polynomial test :func:`_has_hole` runs first,
-    and a graph without a hole yields nothing at once; the exponential DFS
-    below runs only on a graph that has a hole, to produce the witnesses.
-    (At min_length 4 a C4 counts, which that test does not see.)
+    Callers pass 5 for holes and odd holes, and 7 for the odd holes of a
+    complement (odd antiholes). The polynomial test :func:`_has_hole` runs
+    first, and a graph without a hole yields nothing at once; the
+    exponential DFS below runs only on a graph that has a hole, to produce
+    the witnesses.
 
     Depth-first extension of induced paths anchored at each vertex in
     ascending order; all cycle vertices beyond the anchor must exceed it,
@@ -532,7 +533,7 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
     and outside `banned`. Three cuts drop only branches that yield nothing:
 
     1. The anchors stop at the first one with fewer than min_length - 1
-       vertices above it (2 if min_length < 3); every later one has fewer.
+       vertices above it; every later one has fewer.
     2. A second vertex v2 is skipped when the anchor has no neighbor above
        it, since the closing vertex must exceed v2 (it is then the anchor's
        last neighbor, so the anchor is done).
@@ -545,12 +546,12 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
     """
     if parity not in ("any", "odd"):
         raise ValueError(f"parity must be 'any' or 'odd', got {parity!r}")
-    if min_length >= 5 and not _has_hole(g):
+    if not _has_hole(g):
         return
     nbr = g.masks
     full = (1 << g.n) - 1
-    # cut 1: a cycle needs max(min_length, 3) - 1 vertices above its anchor
-    for anchor in range(g.n - max(min_length, 3) + 1):
+    # cut 1: a hole needs min_length - 1 vertices above its anchor
+    for anchor in range(g.n - min_length + 1):
         anchor_nb = nbr[anchor]
         above = full & -(2 << anchor)
         v2s = anchor_nb & above
@@ -591,33 +592,18 @@ def _hole_closings(g: Graph, parity: str, min_length: int) -> Iterator[tuple[int
                 cands, banned = nbr[path[-1]] & free, inner
 
 
-def find_hole(g: Graph, parity: str = "any", min_length: int = 5) -> PatternWitness | None:
-    """First induced cycle of length >= min_length (odd only if parity="odd").
+def find_hole(g: Graph, parity: str = "any") -> PatternWitness | None:
+    """First hole, an induced cycle of length >= 5 (odd only if parity="odd"), or None.
 
     The first cycle closed by the depth-first search of :func:`_hole_closings`.
-    For min_length >= 5 the verdict "no hole" is polynomial (:func:`_has_hole`),
-    and the DFS runs only on a graph with a hole, to produce the witness; it
-    skips every anchor, second vertex and extension that can no longer close
-    a cycle of min_length, so on a long hole it is about linear.
+    The verdict "no hole" is polynomial (:func:`_has_hole`), and the DFS
+    runs only on a graph with a hole, to produce the witness; it skips every
+    anchor, second vertex and extension that can no longer close a hole, so
+    on a long hole it is about linear. Induced C4s are
+    :func:`find_pattern`'s, with kind "C4".
     """
-    cycle = next(_hole_closings(g, parity, min_length), None)
+    cycle = next(_hole_closings(g, parity, 5), None)
     return None if cycle is None else PatternWitness(f"C{len(cycle)}", cycle)
-
-
-def find_all_holes(g: Graph, parity: str = "any", min_length: int = 5) -> list[PatternWitness]:
-    """Every induced cycle of length >= min_length, one orientation each.
-
-    Each hole is reported once: anchored at its smallest vertex, second
-    vertex the smaller of the anchor's two cycle neighbors. The DFS of
-    :func:`_hole_closings` enters no branch that cannot close one, so a
-    long hole takes about linear time, but it is exponential in the worst
-    case; intended for verification corpora.
-    """
-    return [PatternWitness(f"C{len(c)}", c) for c in _hole_closings(g, parity, min_length)]
-
-
-def _co_witness(witness: PatternWitness) -> PatternWitness:
-    return PatternWitness(f"co-{witness.kind}", witness.vertices)
 
 
 def find_odd_antihole(g: Graph) -> PatternWitness | None:
@@ -633,15 +619,20 @@ def find_odd_antihole(g: Graph) -> PatternWitness | None:
     """
     if g.n < 7:
         return None
-    hole = find_hole(complement(g), parity="odd", min_length=7)
-    return None if hole is None else _co_witness(hole)
+    cycle = next(_hole_closings(complement(g), "odd", 7), None)
+    return None if cycle is None else PatternWitness(f"co-C{len(cycle)}", cycle)
 
 
 def find_all_odd_antiholes(g: Graph) -> list[PatternWitness]:
-    """Every induced odd antihole (length >= 7), one orientation each."""
+    """Every induced odd antihole (length >= 7), one orientation each.
+
+    The odd holes of length >= 7 in the complement, in the DFS order of
+    :func:`_hole_closings`, so the first is :func:`find_odd_antihole`'s.
+    Exponential in the worst case; intended for verification corpora.
+    """
     if g.n < 7:
         return []
-    return [_co_witness(w) for w in find_all_holes(complement(g), parity="odd", min_length=7)]
+    return [PatternWitness(f"co-C{len(c)}", c) for c in _hole_closings(complement(g), "odd", 7)]
 
 
 def is_perfect_desk(g: Graph) -> tuple[bool, PatternWitness | None]:
@@ -654,7 +645,7 @@ def is_perfect_desk(g: Graph) -> tuple[bool, PatternWitness | None]:
     with a hole, where it is exponential in the worst case. Intended for
     desk-scale verification.
     """
-    hole = find_hole(g, parity="odd", min_length=5)
+    hole = find_hole(g, parity="odd")
     if hole is not None:
         return False, hole
     antihole = find_odd_antihole(g)

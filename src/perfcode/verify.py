@@ -303,7 +303,7 @@ def check_theorem(g: Graph, theorem: str, budget: int = DEFAULT_VERIFY_BUDGET) -
         chordal, cert = is_chordal(sq)
         witness = None if chordal else cert
     elif theorem == "T2":
-        witness = find_hole(sq, min_length=5)
+        witness = find_hole(sq)
     else:  # T4, T5, CONJ: the square must be perfect.
         witness = is_perfect_desk(sq)[1]
     if witness is None:

@@ -238,7 +238,7 @@ def hole_closings_by_walk(g, parity: str, min_length: int):
     """
     from perfcode.recognition import _has_hole
 
-    if min_length >= 5 and not _has_hole(g):
+    if not _has_hole(g):
         return
     nbr = g.masks
     rows = [g.neighbors(v) for v in range(g.n)]

@@ -32,6 +32,8 @@ def test_parse_minimal_p3():
 def test_parse_weight_line():
     gf = parse_dimacs("p edge 3 2\ne 1 2\ne 2 3\nn 2 5\n")
     assert gf.weights == (1, 5, 1)  # unweighted vertices default to 1
+    with pytest.raises(ValueError, match="weight vector has length 2, expected 3"):
+        write_dimacs(path_graph(3), (1, 2))
 
 
 def test_parse_comments_and_blanks():
@@ -52,6 +54,9 @@ def test_parse_comments_and_blanks():
         ("p edge 2 0\nq 1\n", "unknown line type"),
         ("c nothing\n", "missing 'p edge"),
         ("p edge 2 0\np edge 2 0\n", "line 2: duplicate problem header"),
+        ("p edge x 1\n", "line 1: non-integer header fields"),
+        ("p edge -1 0\n", "line 1: negative counts in header"),
+        ("p edge 2 1\ne 1 x\n", "line 2: non-integer vertex id 'x'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, message):

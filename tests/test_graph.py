@@ -107,6 +107,8 @@ def test_accessors_match_edge_list(ne):
 def test_from_edge_list_rejects_negative_n():
     with pytest.raises(ValueError, match="vertex count must be >= 0"):
         from_edge_list(-1, [])
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        cycle_graph(2)
 
 
 @given(edge_sets(max_n=12), st.data())

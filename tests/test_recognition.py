@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from itertools import combinations, permutations
 
@@ -41,7 +42,6 @@ from perfcode.recognition import (
     _hole_closings,
     _lex_leader_pairs,
     _lexbfs,
-    find_all_holes,
     find_all_odd_antiholes,
     pattern_graph,
 )
@@ -470,6 +470,8 @@ def test_find_hole_absent_in_octahedron():
 def test_find_hole_odd_parity_on_c6():
     assert find_hole(cycle_graph(6), parity="odd") is None
     assert find_hole(cycle_graph(6)) is not None
+    with pytest.raises(ValueError, match="parity must be 'any' or 'odd'"):
+        find_hole(cycle_graph(6), parity="even")
 
 
 def test_find_odd_antihole_on_complement_of_c7():
@@ -511,10 +513,14 @@ def test_hole_search_matches_brute_force(ne):
         assert len(odd.vertices) % 2 == 1
 
 
-def test_hole_search_with_min_length_four():
-    c4 = PatternWitness("C4", (0, 1, 2, 3))
-    assert find_hole(cycle_graph(4), min_length=4) == c4
-    assert find_all_holes(cycle_graph(4), min_length=4) == [c4]
+def test_c4_is_not_a_hole():
+    # a hole has length >= 5; induced C4s are find_pattern's
+    assert find_hole(cycle_graph(4)) is None
+    assert find_hole(square(cycle_graph(6))) is None
+    assert find_pattern(cycle_graph(4), "C4") == PatternWitness("C4", (0, 1, 2, 3))
+    assert list(inspect.signature(find_hole).parameters) == ["g", "parity"]
+    with pytest.raises(TypeError, match="min_length"):
+        find_hole(cycle_graph(4), min_length=4)
 
 
 PETERSEN = from_edge_list(
@@ -596,7 +602,7 @@ def test_hole_free_squares_skip_the_search():
 def test_hole_searches_on_long_cycles():
     whole = PatternWitness("C3000", tuple(range(3000)))
     assert find_hole(cycle_graph(3000)) == whole
-    assert find_all_holes(cycle_graph(3000)) == [whole]
+    assert list(_hole_closings(cycle_graph(3000), "any", 5)) == [whole.vertices]
     assert is_perfect_desk(cycle_graph(3001)) == (
         False,
         PatternWitness("C3001", tuple(range(3001))),
@@ -604,12 +610,12 @@ def test_hole_searches_on_long_cycles():
     # the cuts leave one anchor to search, so these stay about linear; the
     # unpruned walk re-walks the cycle from every anchor, quadratic in n
     longest = PatternWitness("C10000", tuple(range(10000)))
-    assert find_all_holes(cycle_graph(10000)) == [longest]
+    assert list(_hole_closings(cycle_graph(10000), "any", 5)) == [longest.vertices]
     assert find_hole(cycle_graph(10000)) == longest
 
 
 #: The (parity, min_length) pairs the hole searches are compared on.
-HOLE_SEARCHES = (("any", 3), ("any", 4), ("any", 5), ("odd", 5), ("odd", 7))
+HOLE_SEARCHES = (("any", 5), ("odd", 5), ("odd", 7))
 
 
 def test_hole_closings_match_the_walk_on_every_small_graph():
@@ -664,7 +670,7 @@ def test_witnesses_are_pinned():
                 is_chordal(h),
                 find_hole(h),
                 find_hole(h, parity="odd"),
-                find_all_holes(h),
+                [PatternWitness(f"C{len(c)}", c) for c in _hole_closings(h, "any", 5)],
                 find_odd_antihole(h),
                 find_all_odd_antiholes(h),
             )
@@ -677,7 +683,7 @@ def test_witnesses_are_pinned():
 def test_find_all_holes_matches_subset_enumeration(ne):
     n, edges = ne
     g = from_edge_list(n, edges)
-    found = find_all_holes(g)
+    found = [PatternWitness(f"C{len(c)}", c) for c in _hole_closings(g, "any", 5)]
     for w in found:
         assert witness_is_valid(g, w)
     hole_sets = {frozenset(w.vertices) for w in found}
@@ -699,14 +705,15 @@ def test_find_all_holes_matches_subset_enumeration(ne):
                 if len(seen) == size:
                     expected.add(frozenset(combo))
     assert hole_sets == expected
-    # find_hole's witness is the first hole find_all_holes lists, in its
+    # find_hole's witness is the first hole _hole_closings yields, in its
     # orientation: second vertex below the last.
     for parity in ("any", "odd"):
-        for min_length in range(3, 8):
-            holes = find_all_holes(g, parity, min_length)
-            first = find_hole(g, parity, min_length)
-            assert first == (holes[0] if holes else None)
-            assert first is None or first.vertices[1] < first.vertices[-1]
+        holes = list(_hole_closings(g, parity, 5))
+        first = find_hole(g, parity)
+        assert first == (PatternWitness(f"C{len(holes[0])}", holes[0]) if holes else None)
+        assert first is None or first.vertices[1] < first.vertices[-1]
+    antiholes = find_all_odd_antiholes(g)
+    assert find_odd_antihole(g) == (antiholes[0] if antiholes else None)
 
 
 @given(edge_sets(max_n=9))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from perfcode import (
     gen_random_chordal,
     gen_random_graph,
     is_chordal,
+    oracle_ed,
     path_graph,
     run_campaign,
     square,
@@ -56,6 +58,10 @@ def test_gen_random_graph_rejects_negative_n():
 def test_gen_random_chordal_single_vertex():
     g = gen_random_chordal(1, 0.5, 0)
     assert g.n == 1 and g.edge_count == 0
+    with pytest.raises(ValueError, match="need n >= 1"):
+        gen_random_chordal(0, 0.0, 1)
+    with pytest.raises(ValueError, match="fill must be in"):
+        gen_random_chordal(5, 1.5, 1)
 
 
 def test_gen_random_chordal_zero_fill_is_tree():
@@ -108,6 +114,53 @@ def test_t2_held_on_c6():
 def test_t1_held_on_p4():
     verdict = check_theorem(path_graph(4), "T1")
     assert verdict.status == "held"
+
+
+#: One graph per hypothesis of T1, (P6, house, hole, domino)-free, that breaks
+#: it alone (P7 in place of P6 for the P6 row), has an e.d. and has a
+#: non-chordal square: so no hypothesis can be dropped. Found by a seeded
+#: random search over G(n, p), n 4..11; each row lists every e.d.
+T1_RELAXATIONS = {
+    "hole": (6, [(i, (i + 1) % 6) for i in range(6)], [(0, 3), (1, 4), (2, 5)]),
+    "domino": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (2, 5), (4, 5)], [(0, 3), (1, 4)]),
+    "house": (
+        8,
+        [(0, 1), (0, 2), (0, 3), (0, 7), (1, 3), (2, 3), (2, 6), (2, 7), (3, 5), (4, 5),
+         (4, 6), (5, 6)],
+        [(0, 4)],
+    ),
+    "P6": (
+        10,
+        [(0, 1), (0, 3), (1, 2), (1, 3), (1, 8), (2, 3), (2, 5), (2, 8), (2, 9), (3, 4),
+         (3, 9), (4, 6), (4, 9), (5, 7), (5, 9), (7, 9)],
+        [(1, 6, 7)],
+    ),
+}
+
+HOUSE = {frozenset(e) for e in [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)]}
+DOMINO = {frozenset(e) for e in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]}
+
+
+@pytest.mark.parametrize("broken", sorted(T1_RELAXATIONS))
+def test_each_hypothesis_of_t1_is_needed(broken):
+    n, edges, eds = T1_RELAXATIONS[broken]
+    present = {
+        "hole": any(k >= 5 for k in bf.induced_cycle_lengths(n, edges)),
+        "house": bf.has_induced(n, edges, 5, HOUSE),
+        "domino": bf.has_induced(n, edges, 6, DOMINO),
+        "P6": bf.has_induced(n, edges, 6, bf.path_pattern(6)),
+    }
+    assert {kind for kind, found in present.items() if found} == {broken}
+    assert not bf.has_induced(n, edges, 7, bf.path_pattern(7))
+    assert bf.all_eds(n, edges) == eds
+    assert not bf.is_chordal(n, [tuple(e) for e in bf.square_edges(n, edges)])
+    g = from_edge_list(n, edges)
+    found = {kind: recognition.find_pattern(g, kind) for kind in ("house", "domino", "P6")}
+    found["hole"] = recognition.find_hole(g)
+    assert {kind for kind, witness in found.items() if witness is not None} == {broken}
+    assert oracle_ed(g).vertices == eds[0]
+    assert not is_chordal(square(g))[0]
+    assert check_theorem(g, "T1").reason == "class"
 
 
 def test_t3_trivial_hold_is_flagged():
@@ -329,6 +382,8 @@ def test_campaign_accounting_and_text():
     assert report.held_trivially <= report.held
     text = report.to_text()
     assert "theorem T3" in text and "0 counterexample(s)" in text
+    with pytest.raises(ValueError, match="do not add up to 60 trials"):
+        dataclasses.replace(report, held=report.held + 1)
 
 
 def test_campaign_seed_changes_outcomes():

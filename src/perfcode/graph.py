@@ -128,27 +128,26 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def square(g: Graph) -> Graph:
-    """The square: same vertices, u~v iff their distance in g is 1 or 2.
-
-    Row v ORs the rows of v's neighbors, in ascending id, into its reach,
-    and a row stops once it is full: as soon as the reach holds every
-    vertex. So where vertex 0 sees all others each row reads one other
-    row, and on a dense graph of diameter 2 a few, in place of one read
-    per edge end.
-    """
-    nbr = g.masks
+    """The square: same vertices, u~v iff their distance in g is 1 or 2, row by row."""
     full = (1 << g.n) - 1
-    masks = []
-    for v, reach in enumerate(nbr):
-        rest = reach
-        while rest:
-            low = rest & -rest
-            reach |= nbr[low.bit_length() - 1]
-            if reach == full:
-                break
-            rest ^= low
-        masks.append(reach & ~(1 << v))
-    return Graph._built(tuple(masks))
+    return Graph._built(tuple([_square_row(g.masks, v, full) for v in range(g.n)]))
+
+
+def _square_row(masks, v: int, full: int) -> int:
+    """Row v of the square of the graph with neighbor masks `masks`.
+
+    ORs the rows of v's neighbors, in ascending id, into v's reach, and
+    stops once the reach is `full` (all n vertices, or v's component): on a
+    dense graph of diameter 2, after a few rows, not one per neighbor.
+    """
+    reach = rest = masks[v]
+    while rest:
+        low = rest & -rest
+        reach |= masks[low.bit_length() - 1]
+        if reach == full:
+            break
+        rest ^= low
+    return reach & ~(1 << v)
 
 
 def closed_neighborhood_weights(g: Graph) -> tuple[int, ...]:

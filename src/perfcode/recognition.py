@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .graph import (
-    Graph, _mask_to_tuple, complement, cycle_graph, from_edge_list, path_graph,
+    Graph, _mask_to_tuple, _square_row, complement, cycle_graph, from_edge_list, path_graph,
 )
 
 CLASS_TAGS = ("(P6,HHD)-free", "(P6,house)-free", "(P6,bull)-free", "P6-free", "chordal")
@@ -101,6 +101,10 @@ _FIXED_LEX_LEADER_PAIRS = {
     "bull": {(0, 1)},
 }
 
+#: Witness positions in an order where each sees an earlier one, with that
+#: order's lex-leader pairs: the house's reflection swaps its first two.
+_CONNECTED_ORDER = {"house": ((1, 3, 0, 2, 4), {(0, 1)})}
+
 
 def _lex_leader_pairs(kind: str) -> frozenset[tuple[int, int]]:
     """The pairs (i, p), i < p, with at[i] < at[p] in the orbit-least embedding.
@@ -124,23 +128,23 @@ def _lex_leader_pairs(kind: str) -> frozenset[tuple[int, int]]:
 
 
 @lru_cache(maxsize=32)
-def _constraint_table(kind: str) -> tuple[tuple[tuple[int, bool, bool], ...], ...]:
+def _constraint_table(kind: str, connected: bool = False) -> tuple[tuple[tuple, ...], ...]:
     """Per position i, the (p, adjacent?, ordered?) triple for every later position p.
 
     `ordered` marks the lex-leader pairs of :func:`_lex_leader_pairs`, where
-    p must exceed the vertex placed at i. Bounded, because callers choose
-    the kinds (any path or cycle length).
+    p must exceed the vertex placed at i; `connected` takes both from
+    :data:`_CONNECTED_ORDER`. Bounded: callers choose any path or cycle length.
     """
     pattern = pattern_graph(kind)
     k = pattern.n
-    ordered = _lex_leader_pairs(kind)
+    at, ordered = connected and _CONNECTED_ORDER.get(kind) or (range(k), _lex_leader_pairs(kind))
     return tuple(
-        tuple((p, pattern.adjacent(i, p), (i, p) in ordered) for p in range(i + 1, k))
+        tuple((p, pattern.adjacent(at[i], at[p]), (i, p) in ordered) for p in range(i + 1, k))
         for i in range(k)
     )
 
 
-def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
+def _embeddings(g: Graph, kind: str, connected: bool = False) -> Iterator[tuple[int, ...]]:
     """The least induced embedding in each automorphism orbit, in lexicographic order.
 
     Iterative depth-first search over pattern positions with forward
@@ -156,9 +160,10 @@ def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
     orbit under the pattern's automorphisms, so each orbit comes out once
     (one of the 10 orientations of a C5, say). The least embedding of all
     is least in its orbit too, so the first one yielded is still the
-    least embedding of the pattern.
+    least embedding of the pattern. `connected` yields the same orbits in
+    the position order of :data:`_CONNECTED_ORDER`, each as another member.
     """
-    table = _constraint_table(kind)
+    table = _constraint_table(kind, connected)
     k = len(table)
     if g.n < k:
         return
@@ -209,7 +214,7 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 
 # -- chordality ---------------------------------------------------------------
 
-def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
+def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list], list[int]]:
     """The LexBFS loop of :func:`lexbfs_order`; checked, the one source of elimination orders.
 
     :func:`is_chordal`, :func:`is_class_member`,
@@ -235,16 +240,20 @@ def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
     neighbors) over that last cell finds the rest of the component and
     stops once the cell is used up. The loop goes on with the next
     component, from what is left of that cell.
+    Given `rows`, it runs on the square of g, with row v in ``rows[v]``,
+    filled in place if None at the first visit that reads it; the BFS runs
+    over ``g.masks`` either way, as g and its square share components.
     """
     n = g.n
-    nbr = g.masks
+    nbr = g.masks if rows is None else rows
+    full = (1 << n) - 1
     # Cell c holds the vertices in members[c]; the list runs from head
     # along nxt[c] (and back along prv[c]), -1 ending it. Ids are not reused.
-    members = [(1 << n) - 1] if n else []
+    members = [full] if n else []
     nxt, prv, last = [-1], [-1], [-1]
     cell_of = [0] * n
     head = 0 if n else -1
-    unvisited = (1 << n) - 1
+    unvisited = full
     # Each pair first holds `unvisited` before its component started.
     parts = []
     seen_of = [0] * n
@@ -258,7 +267,10 @@ def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
             head = nxt[head]
             if head >= 0:
                 prv[head] = -1
-        nb = nbr[v] & unvisited
+        row = nbr[v]
+        if row is None:
+            row = nbr[v] = _square_row(g.masks, v, full)
+        nb = row & unvisited
         if p < 0:
             order = [v]
             parts.append([unvisited | first, order, None])
@@ -266,7 +278,7 @@ def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
             order.append(v)
             if check:
                 # v's visited neighbors, p among them: all but p must see p
-                seen = seen_of[v] = nbr[v] ^ nb
+                seen = seen_of[v] = row ^ nb
                 if seen & nbr[p] != seen ^ (1 << p):
                     parts[-1][1:] = None, v
                     reached, c = nb, head
@@ -277,7 +289,7 @@ def _lexbfs(g: Graph, check: bool) -> tuple[list[list], list[int]]:
                     frontier = reached
                     while frontier and rest:
                         low = frontier & -frontier
-                        fresh = nbr[low.bit_length() - 1] & rest
+                        fresh = g.masks[low.bit_length() - 1] & rest
                         rest ^= fresh
                         reached |= fresh
                         frontier = (frontier ^ low) | fresh
@@ -706,12 +718,12 @@ def is_class_member(g: Graph, class_tag: str) -> bool:
     hole contains an induced P6). Patterns are then searched fewest
     vertices first, ties in listed order: house, P6, domino for
     (P6,HHD)-free; house, P6 for (P6,house)-free; bull, P6 for
-    (P6,bull)-free. "chordal" runs the LexBFS test alone and builds no
-    cycle witness.
+    (P6,bull)-free, the house in the order of :data:`_CONNECTED_ORDER`.
+    "chordal" runs the LexBFS test alone and builds no cycle witness.
     """
     _check_class_tag(class_tag)
     if class_tag == "chordal":
         return all(order is not None for _, order, _ in _lexbfs(g, True)[0])
     if class_tag in _HOLE_PATTERNS and _has_hole(g):
         return False
-    return all(find_pattern(g, kind) is None for kind in _SEARCH_ORDER[class_tag])
+    return all(next(_embeddings(g, kind, True), None) is None for kind in _SEARCH_ORDER[class_tag])

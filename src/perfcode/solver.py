@@ -11,12 +11,12 @@ serves the independent oracle :func:`oracle_ed`; it reads candidates off
 closed neighborhoods and never touches the square, so it shares no code
 with the pipeline.
 
-The whole graph is squared once, and one LexBFS pass over the square,
-with the parent check, yields every connected component with its
-chordality verdict; the check stops a component at the first vertex that
-fails and builds no cycle witness. Each component is then solved in
-place, on vertex masks of the one square. Every solution carries the
-square diagnostics of :class:`SquareDiagnostics`.
+One LexBFS pass over the square, with the parent check, yields every
+connected component with its chordality verdict; the check stops a
+component at the first vertex that fails and builds no cycle witness.
+The square is not built up front: each row is computed when the pass or
+the exact cover first reads it. Every solution carries the square
+diagnostics of :class:`SquareDiagnostics`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from typing import Iterator, Sequence
 from .graph import (
     Graph,
     _mask_to_tuple,
+    _square_row,
     closed_neighborhood_weights,
     connected_components,  # not called here; bench/tracing.py wraps it by this name
     induced_subgraph,
-    square,
+    square,  # not called here; bench/tracing.py wraps it by this name
 )
 from .mwis import (
     _check_weights,
@@ -64,13 +65,13 @@ class SquareDiagnostics:
     square, from its one LexBFS pass over the whole square, with no cycle
     witness. A chordal square has no induced cycle of length >= 4, so no
     hole; nor an odd antihole, since every co-C_k with k >= 6 holds an
-    induced C4: no search runs. A component square that is not chordal is
-    copied out of the whole square (unless it is all of it), so that the
-    searches never run on the complement of the whole square. On the copy,
-    the hole verdict comes from the polynomial hole test alone (no witness
-    is needed, so no hole DFS runs), and :func:`find_odd_antihole` runs the
-    same test on the copy's complement, so its exhaustive DFS runs only
-    when that complement has a hole.
+    induced C4: no search runs. Else solve fills every row of the square,
+    and copies out each component square that is not chordal (unless it is
+    all of it), so that the searches never run on the complement of the
+    whole square. On the copy, the hole verdict comes from the polynomial
+    hole test alone (no witness is needed, so no hole DFS runs), and
+    :func:`find_odd_antihole` runs the same test on the copy's complement,
+    so its exhaustive DFS runs only when that complement has a hole.
     """
 
     chordal: bool
@@ -160,82 +161,96 @@ def oracle_ed(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     return best
 
 
-def _min_weight_ed(
-    closed: Sequence[int], blocks: Sequence[int], user: Sequence[int], component: int
-) -> int | None:
+def _min_weight_ed(closed: list, rows: list, user: Sequence[int], component: int) -> int | None:
     """The least-weight e.d. of one component, lexicographically least on ties, or None.
 
     `component` is the vertex mask of a connected component of the graph,
-    `closed` its closed neighborhoods and `blocks` the open rows of its
-    square, read in place, all by vertex id of the whole graph. Weighted
-    exact cover of the closed neighborhoods, depth-first on an explicit
-    stack: branch on the uncovered vertex with the fewest candidates
-    (closed neighbors still usable: outside the square row of every chosen
-    vertex, i.e. whose own closed neighborhood is still uncovered; the scan
-    stops at the first with 0 or 1), candidates in ascending id, pushed
-    from the highest bit of the candidate mask down. A chosen vertex c
-    stays usable, as its square row is open, but is never a candidate
-    again: every u with c in N[u] lies in N[c], which is covered. A node
-    is pruned when it is heavier than the best e.d. so far, or as heavy
-    and no leaf below it can hold the least vertex that tells it from that
-    e.d.: every leaf lies between `chosen` and `chosen | usable`, and
-    weights are nonnegative. So a leaf that is reached always replaces the
-    best. Returns the e.d. as a vertex mask.
+    `closed` its closed neighborhoods and `rows` the open rows of its
+    square (None until c is chosen, then the union of the closed
+    neighborhoods of N[c] less c, whole once it is `component`), all by
+    vertex id of the whole graph. Weighted exact cover of the closed
+    neighborhoods, depth-first on an explicit stack: branch on the
+    uncovered vertex with the fewest candidates (closed neighbors still
+    usable: outside the square row of every chosen vertex, i.e. whose own
+    closed neighborhood is still uncovered). Below the choice of c the scan
+    walks the uncovered ones in c's square row first, then the rest, each
+    in ascending id, and stops at the first with 0 or 1 candidates. One
+    candidate is chosen in place; more are pushed from the highest id down.
+    A chosen vertex c stays usable, as its square row is open, but is never
+    a candidate again: every u with c in N[u] lies in N[c], which is
+    covered. A node is pruned when it is heavier than the best e.d. so far,
+    or as heavy and no leaf below it can hold the least vertex that tells
+    it from that e.d.: every leaf lies between `chosen` and `chosen |
+    usable`, and weights are nonnegative. So a leaf that is reached always
+    replaces the best, whatever the branching order. Returns the e.d. as a
+    vertex mask.
     """
     best_weight = -1
     best = 0
-    stack = [(0, component, 0, 0)]  # (covered, usable, chosen, weight)
+    stack = [(0, component, 0, 0, 0)]  # (covered, usable, chosen, weight, row of the last choice)
     while stack:
-        covered, usable, chosen, weight = stack.pop()
-        if 0 <= best_weight <= weight:
-            reach = (chosen | usable) ^ best
-            if weight > best_weight or not reach & -reach & ~best:
-                continue
-        if covered == component:
-            best_weight, best = weight, chosen
-            continue
-        fewest = len(closed) + 1
-        rest = component ^ covered
-        while rest:
-            low = rest & -rest
-            cands = closed[low.bit_length() - 1] & usable
-            count = cands.bit_count()
-            if count < fewest:
-                fewest, pick = count, cands
-                if count <= 1:
+        covered, usable, chosen, weight, near = stack.pop()
+        while True:
+            if 0 <= best_weight <= weight:
+                reach = (chosen | usable) ^ best
+                if weight > best_weight or not reach & -reach & ~best:
                     break
-            rest ^= low
-        while pick:
-            c = pick.bit_length() - 1
-            pick ^= 1 << c
-            stack.append(
-                (covered | closed[c], usable & ~blocks[c], chosen | (1 << c), weight + user[c])
-            )
+            if covered == component:
+                best_weight, best = weight, chosen
+                break
+            fewest = len(closed) + 1
+            near &= ~covered
+            rest = component ^ covered ^ near
+            while near or rest:
+                if not near:
+                    near, rest = rest, 0
+                low = near & -near
+                cands = closed[low.bit_length() - 1] & usable
+                count = cands.bit_count()
+                if count < fewest:
+                    fewest, pick = count, cands
+                    if count <= 1:
+                        break
+                near ^= low
+            while pick:
+                c = pick.bit_length() - 1
+                pick ^= 1 << c
+                near = rows[c]
+                if near is None:
+                    near = rows[c] = _square_row(closed, c, component)
+                if fewest > 1:
+                    stack.append((covered | closed[c], usable & ~near, chosen | 1 << c,
+                                  weight + user[c], near))
+            if fewest != 1:
+                break
+            covered, usable = covered | closed[c], usable & ~near
+            chosen, weight = chosen | 1 << c, weight + user[c]
     return best if best_weight >= 0 else None
 
 
 def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     """Minimum-weight efficient domination via MWIS on the square.
 
-    Squares the whole graph once: the square of a disjoint union is the
-    disjoint union of the squares, so its components are those of g. One
-    LexBFS pass with the parent check over the square yields each
-    component, as a vertex mask, with its chordality verdict (always
-    tested directly, never assumed) and, when chordal, its visit order; the
-    check stops a component at its first failing vertex and goes on with
-    the next. Every component is then solved in place on masks of the one
-    square, with no induced copy. A chordal square runs the two-pass
-    greedy MWIS over the reversed LexBFS order, a perfect elimination
-    order, on closed neighborhood sizes folded with the user weights as
-    M * |N[v]| - w(v), M = 1 + the component's user weight (every e.d. then
-    outscores every other independent set, lightest e.d. first), shifted
-    up n bits over a bit 2^(n - 1 - v) so that the optimum is unique; an
-    e.d. exists iff the optimum's neighborhood weight covers the component.
-    The greedy charges each vertex's residual along the visited-neighbor
-    masks that LexBFS kept, and a vertex that sees every vertex still to
-    come charges them all as one offset.
-    A non-chordal square runs an exact cover search over the closed
-    neighborhoods; the path reads "exact-fallback" from the first such
+    One LexBFS pass with the parent check over the square of g yields each
+    component, as a vertex mask, with its chordality verdict (always tested
+    directly, never assumed) and, when chordal, its visit order; the check
+    stops a component at its first failing vertex and goes on with the
+    next. The pass computes each row of the square at the first visit that
+    reads it and finishes a failing component by a BFS over g, whose
+    components are those of its square. Every component is then solved in
+    place on those rows, with no induced copy. A chordal square runs the
+    two-pass greedy MWIS over the reversed LexBFS order, a perfect
+    elimination order, on closed neighborhood sizes folded with the user
+    weights as M * |N[v]| - w(v), M = 1 + the component's user weight
+    (every e.d. then outscores every other independent set, lightest e.d.
+    first), shifted up n bits over a bit 2^(n - 1 - v) so that the optimum
+    is unique; an e.d. exists iff the optimum's neighborhood weight covers
+    the component. The greedy charges each vertex's residual along the
+    visited-neighbor masks that LexBFS kept, and a vertex that sees every
+    vertex still to come charges them all as one offset. A non-chordal
+    square runs an exact cover search over the closed neighborhoods, which
+    computes the rows of the vertices it chooses and scans next to its last
+    choice first; the path reads "exact-fallback" from the first such
     component on. No option overrides the square's choice. Either way the
     result is the lightest e.d., and of those the lexicographically least
     sorted vertex tuple, per component and so for their union. Components
@@ -251,11 +266,15 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     weights = _check_weights(g, user) if user is not None else None
     unit = weights if weights is not None else (0,) * g.n
 
-    sq = square(g)
-    parts, seen = _lexbfs(sq, True)
+    rows = [None] * g.n
+    parts, seen = _lexbfs(g, True, rows)
     non_chordal = [mask for mask, order, _ in parts if order is None]
     hole_free = odd_antihole_free = None
     if g.n <= DEFAULT_VERIFY_BUDGET:
+        if non_chordal:  # the diagnostics alone read every row of the square
+            full = (1 << g.n) - 1
+            rows = [_square_row(g.masks, v, full) if r is None else r for v, r in enumerate(rows)]
+        sq = Graph._built(tuple(rows))
         copies = [
             sq if len(parts) == 1 else induced_subgraph(sq, _mask_to_tuple(mask))
             for mask in non_chordal
@@ -272,7 +291,7 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     path = "chordal-square"
     for component, order, _ in parts:
         if order is None:
-            found = _min_weight_ed(closed, sq.masks, unit, component)
+            found = _min_weight_ed(closed, rows, unit, component)
             path = "exact-fallback"
         else:
             scale = 1 + sum(unit[v] for v in order)

@@ -165,9 +165,14 @@ def test_find_pattern_returns_least_embedding(ne):
     ]
 
 
-def automorphism_pairs(kind):
-    """(i, s(i)) for the first position i each automorphism s != id moves, by brute force."""
+def automorphism_pairs(kind, order=None):
+    """(i, s(i)) for the first position i each automorphism s != id moves, by brute force.
+
+    `order` lists the witness positions in the order the search places them.
+    """
     k, edges = pattern_set(kind)
+    if order is not None:
+        edges = {frozenset(order.index(v) for v in e) for e in edges}
     pairs = set()
     for s in permutations(range(k)):
         if s != tuple(range(k)) and {frozenset(s[v] for v in e) for e in edges} == edges:
@@ -815,6 +820,45 @@ def _assert_class_tests_agree(g):
 @settings(max_examples=150, deadline=None)
 def test_is_class_member_matches_class_membership(ne):
     _assert_class_tests_agree(from_edge_list(*ne))
+
+
+def test_connected_house_order():
+    """Every position of the yes/no order sees an earlier one; its pairs are the automorphisms'."""
+    order, pairs = recognition._CONNECTED_ORDER["house"]
+    house = pattern_graph("house")
+    assert sorted(order) == list(range(5))
+    assert all(any(house.adjacent(order[i], order[j]) for j in range(i)) for i in range(1, 5))
+    assert automorphism_pairs("house", order) == pairs == {(0, 1)}
+    table = _constraint_table("house", True)
+    assert {(i, p) for i, row in enumerate(table) for p, _, ordered in row if ordered} == pairs
+    assert all(
+        adjacent == house.adjacent(order[i], order[p])
+        for i, row in enumerate(table) for p, adjacent, _ in row
+    )
+    # one embedding per orbit: the house in itself once, in either order
+    for connected in (False, True):
+        assert len(list(_embeddings(house, "house", connected))) == 1
+
+
+@given(st.one_of(sparse_graphs(), edge_sets(max_n=10).map(lambda ne: from_edge_list(*ne))))
+@settings(max_examples=200, deadline=None)
+def test_house_yes_no_search_matches_find_pattern(g):
+    for h in (g, square(g), complement(g)):
+        found = next(_embeddings(h, "house", True), None)
+        assert (found is None) == (find_pattern(h, "house") is None)
+        if found is not None:
+            order = recognition._CONNECTED_ORDER["house"][0]
+            witness = [0] * 5
+            for position, v in zip(order, found):
+                witness[position] = v
+            assert witness_is_valid(h, PatternWitness("house", tuple(witness)))
+        assert is_class_member(h, "(P6,house)-free") == class_membership(h, "(P6,house)-free").member
+
+
+@pytest.mark.usefixtures("time_limit")
+def test_house_yes_no_search_on_large_sparse_graphs():
+    assert is_class_member(disjoint_union(*[path_graph(5)] * 300), "(P6,house)-free")
+    assert not is_class_member(cycle_graph(1000), "(P6,house)-free")
 
 
 #: Graphs and whether each is (P6,HHD)-free.

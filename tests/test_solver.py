@@ -30,7 +30,8 @@ from perfcode import (
     verify_ed,
     SquareDiagnostics,
 )
-from perfcode.solver import efficient_dominating_sets
+from perfcode.recognition import _lexbfs
+from perfcode.solver import _min_weight_ed, efficient_dominating_sets
 
 WEIGHT_RANGES = {"unit": (1, 1), "0..3": (0, 3), "1..20": (1, 20)}
 SOLVE_DIGEST = "ce7a617e878c995e92b00801d76579b70fdf8fd9d34520c1bba18b5b79ad9622"
@@ -199,8 +200,9 @@ def test_verify_budget_applies_to_the_whole_graph():
 def _count_calls(monkeypatch):
     """Count solve's calls of the hole test, the searches and the component copies.
 
-    `is_chordal` is counted too, and no test below expects it: solve takes
-    the chordality verdict alone, with no cycle witness.
+    `is_chordal` and `square` are counted too, and no test below expects
+    them: solve takes the chordality verdict alone, with no cycle witness,
+    and computes the rows of the square it reads one by one.
     """
     import perfcode.solver
 
@@ -212,6 +214,7 @@ def _count_calls(monkeypatch):
         "find_odd_antihole",
         "induced_subgraph",
         "is_chordal",
+        "square",
     )
     for name in names:
 
@@ -320,6 +323,56 @@ def test_oracle_outputs_are_pinned():
         for user in (None, weights):
             digest.update(repr(oracle_ed(g, user)).encode() + b"\n")
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def _assert_on_demand_rows_match(g, user):
+    """The pass over on-demand rows against the pass over the whole square, and both exact covers."""
+    sq = square(g)
+    rows = [None] * g.n
+    parts, seen = _lexbfs(g, True, rows)
+    assert (parts, seen) == _lexbfs(sq, True)
+    assert all(row is None or row == sq.masks[v] for v, row in enumerate(rows))
+    closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
+    for mask, _, _ in parts:
+        assert _min_weight_ed(closed, rows, user, mask) == _min_weight_ed(
+            closed, list(sq.masks), user, mask
+        )
+    assert all(row is None or row == sq.masks[v] for v, row in enumerate(rows))
+    return rows
+
+
+@given(edge_sets(max_n=9), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_on_demand_rows_match_the_square(ne, seed):
+    rng = random.Random(seed)
+    g = disjoint_union(from_edge_list(*ne), cycle_graph(rng.randint(3, 9)))
+    _assert_on_demand_rows_match(g, [rng.randint(0, 5) for _ in range(g.n)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_on_demand_rows_match_the_square_on_planted_graphs(seed):
+    rng = random.Random(seed)
+    for n in (40, 57, 73, 90):
+        g, planted = planted_ed_graph(n, rng)
+        near_miss = from_edge_list(n, [*g.edges(), tuple(rng.sample(planted, 2))])
+        user = [rng.randint(1, 20) for _ in range(n)]
+        for h in (g, near_miss):
+            _assert_on_demand_rows_match(h, user)
+
+
+def test_exact_route_never_squares_the_graph(monkeypatch):
+    rng = random.Random(0)
+    g, planted = planted_ed_graph(90, rng)
+    near_miss = from_edge_list(90, [*g.edges(), tuple(rng.sample(planted, 2))])
+    rows = [None] * 90
+    _lexbfs(near_miss, True, rows)
+    # the checked pass stops the component at its first failing visit, with most rows unread
+    assert sum(row is not None for row in rows) < 20
+    calls = _count_calls(monkeypatch)
+    solution = solve(cycle_graph(93), [1 + 7 * v % 20 for v in range(93)])
+    assert solution.path == "exact-fallback" and solution.user_weight == 276
+    assert not solve(near_miss).exists
+    assert calls == Counter()
 
 
 def test_components_run_in_order():

@@ -189,9 +189,9 @@ def searched(monkeypatch):
     embeddings = recognition._embeddings
     has_hole = recognition._has_hole
 
-    def counting(g, kind):
+    def counting(g, kind, *connected):
         kinds.append(kind)
-        return embeddings(g, kind)
+        return embeddings(g, kind, *connected)
 
     def counting_holes(g):
         kinds.append("hole")

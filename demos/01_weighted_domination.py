@@ -7,7 +7,7 @@ solver finds it through an independent-set computation on the square,
 and the exact-cover oracle confirms it from first principles.
 """
 
-from perfcode import cycle_graph, oracle_ed, solve, verify_ed, write_dimacs
+from perfcode import cycle_graph, oracle_ed, solve, square_diagnostics, verify_ed, write_dimacs
 
 g = cycle_graph(6)
 weights = (1, 2, 3, 4, 5, 6)
@@ -19,7 +19,7 @@ solution = solve(g, weights)
 print("pipeline:", solution.path)
 print("  efficient dominating set:", solution.vertices)
 print("  total weight:", solution.user_weight)
-print("  square diagnostics:", solution.diagnostics)
+print("  square diagnostics:", square_diagnostics(g))
 assert verify_ed(g, solution.vertices)
 
 reference = oracle_ed(g, weights)

@@ -16,6 +16,7 @@ from perfcode import (
     oracle_ed,
     solve,
     square,
+    square_diagnostics,
 )
 
 sun = complete_sun(4)
@@ -41,7 +42,7 @@ while found < 4:
     found += 1
     print(
         f"  seed {seed}: n={g.n} m={g.edge_count}  "
-        f"square chordal: {solution.diagnostics.chordal}  "
+        f"square chordal: {square_diagnostics(g).chordal}  "
         f"path: {solution.path}  e.d.: {solution.vertices}"
     )
 print()

@@ -40,6 +40,7 @@ from .solver import (
     SquareDiagnostics,
     oracle_ed,
     solve,
+    square_diagnostics,
     verify_ed,
 )
 from .verify import (
@@ -85,6 +86,7 @@ __all__ = [
     "EDSolution",
     "SquareDiagnostics",
     "solve",
+    "square_diagnostics",
     "oracle_ed",
     "verify_ed",
     "THEOREM_IDS",

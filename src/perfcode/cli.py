@@ -19,7 +19,7 @@ from pathlib import Path
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .graph import square
 from .recognition import CLASS_TAGS, class_membership
-from .solver import DEFAULT_VERIFY_BUDGET, oracle_ed, solve
+from .solver import DEFAULT_VERIFY_BUDGET, oracle_ed, solve, square_diagnostics
 from .verify import THEOREM_IDS, TrialConfig, gen_random_chordal, gen_random_graph, run_campaign
 
 EXIT_OK = 0
@@ -140,7 +140,7 @@ def _cmd_solve(args) -> int:
     if args.force_path == "oracle":
         solution = oracle_ed(gf.graph, weights)
     else:
-        solution = solve(gf.graph, weights)
+        solution = replace(solve(gf.graph, weights), diagnostics=square_diagnostics(gf.graph))
     diag = asdict(solution.diagnostics) if solution.diagnostics is not None else None
     if args.json:
         document = {

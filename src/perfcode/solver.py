@@ -15,8 +15,8 @@ One LexBFS pass over the square, with the parent check, yields every
 connected component with its chordality verdict; the check stops a
 component at the first vertex that fails and builds no cycle witness.
 The square is not built up front: each row is computed when the pass or
-the exact cover first reads it. Every solution carries the square
-diagnostics of :class:`SquareDiagnostics`.
+the exact cover first reads it. The square's structure verdicts are a
+call of their own, :func:`square_diagnostics`, which solve never makes.
 """
 
 from __future__ import annotations
@@ -47,32 +47,14 @@ from .recognition import (
     is_chordal,  # not called here; bench/tracing.py wraps it by this name
 )
 
-#: Max n for the hole / odd-antihole diagnostics run by solve() (the
-#: odd-antihole search is exponential when the complement of a square has
-#: a hole).
+#: Max n for the hole / odd-antihole verdicts of square_diagnostics(): the
+#: odd-antihole search is exponential when a square's complement has a hole.
 DEFAULT_VERIFY_BUDGET = 30
 
 
 @dataclass(frozen=True)
 class SquareDiagnostics:
-    """Structure verdicts for the square; None means skipped over budget.
-
-    Chordality is always reported. The hole / odd-antihole verdicts are
-    skipped (None) when the whole graph's n is above the verification
-    budget :data:`DEFAULT_VERIFY_BUDGET`. Within it they are read off the
-    component squares, since holes and antiholes are connected.
-    :func:`solve` takes only the chordality verdict of each component
-    square, from its one LexBFS pass over the whole square, with no cycle
-    witness. A chordal square has no induced cycle of length >= 4, so no
-    hole; nor an odd antihole, since every co-C_k with k >= 6 holds an
-    induced C4: no search runs. Else solve fills every row of the square,
-    and copies out each component square that is not chordal (unless it is
-    all of it), so that the searches never run on the complement of the
-    whole square. On the copy, the hole verdict comes from the polynomial
-    hole test alone (no witness is needed, so no hole DFS runs), and
-    :func:`find_odd_antihole` runs the same test on the copy's complement,
-    so its exhaustive DFS runs only when that complement has a hole.
-    """
+    """Structure verdicts for the square, from :func:`square_diagnostics`; None means skipped."""
 
     chordal: bool
     hole_free: bool | None
@@ -243,7 +225,8 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     elimination order, on closed neighborhood sizes folded with the user
     weights as M * |N[v]| - w(v), M = 1 + the component's user weight
     (every e.d. then outscores every other independent set, lightest e.d.
-    first), shifted up n bits over a bit 2^(n - 1 - v) so that the optimum
+    first), shifted up k bits (the component's size) over a bit
+    2^(k - 1 - r), r the rank of v in the component, so that the optimum
     is unique; an e.d. exists iff the optimum's neighborhood weight covers
     the component. The greedy charges each vertex's residual along the
     visited-neighbor masks that LexBFS kept, and a vertex that sees every
@@ -255,7 +238,7 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     result is the lightest e.d., and of those the lexicographically least
     sorted vertex tuple, per component and so for their union. Components
     are solved in order, stopping at the first without an e.d. The result
-    carries the square diagnostics of :class:`SquareDiagnostics`.
+    carries no diagnostics (see :func:`square_diagnostics`).
 
     Cost: a graph of diameter at most 2 has a complete square, which is
     chordal. Squaring stops each row once it is full (on a dense graph,
@@ -268,23 +251,8 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
 
     rows = [None] * g.n
     parts, seen = _lexbfs(g, True, rows)
-    non_chordal = [mask for mask, order, _ in parts if order is None]
-    hole_free = odd_antihole_free = None
-    if g.n <= DEFAULT_VERIFY_BUDGET:
-        if non_chordal:  # the diagnostics alone read every row of the square
-            full = (1 << g.n) - 1
-            rows = [_square_row(g.masks, v, full) if r is None else r for v, r in enumerate(rows)]
-        sq = Graph._built(tuple(rows))
-        copies = [
-            sq if len(parts) == 1 else induced_subgraph(sq, _mask_to_tuple(mask))
-            for mask in non_chordal
-        ]
-        hole_free = all(not _has_hole(h) for h in copies)
-        odd_antihole_free = all(find_odd_antihole(h) is None for h in copies)
-    diagnostics = SquareDiagnostics(not non_chordal, hole_free, odd_antihole_free)
-
     nbh = closed_neighborhood_weights(g)
-    if non_chordal:
+    if any(order is None for _, order, _ in parts):
         closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
     combined = [0] * g.n
     chosen = 0
@@ -294,18 +262,48 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
             found = _min_weight_ed(closed, rows, unit, component)
             path = "exact-fallback"
         else:
+            k = len(order)
             scale = 1 + sum(unit[v] for v in order)
-            for v in order:
+            for rank, v in enumerate(sorted(order)):
                 weight = scale * nbh[v] - unit[v]
                 # v's low bit outweighs all larger ids' together: one optimum, the lex-least
-                combined[v] = weight << g.n | 1 << (g.n - 1 - v)
+                combined[v] = weight << k | 1 << (k - 1 - rank)
             # uses up this component's entries of combined as residuals
             found = _chordal_greedy(seen, combined, order)
-            if sum(nbh[v] for v in _mask_to_tuple(found)) != len(order):
+            if sum(nbh[v] for v in _mask_to_tuple(found)) != k:
                 found = None
         if found is None:
-            return EDSolution(False, None, None, path, diagnostics)
+            return EDSolution(False, None, None, path)
         chosen |= found
     vertices = _mask_to_tuple(chosen)
     user_weight = sum(weights[v] for v in vertices) if weights is not None else None
-    return EDSolution(True, vertices, user_weight, path, diagnostics)
+    return EDSolution(True, vertices, user_weight, path)
+
+
+def square_diagnostics(g: Graph) -> SquareDiagnostics:
+    """The structure verdicts of the square of g, which :func:`solve` never reads.
+
+    Chordality comes from the checked LexBFS pass, per component. The hole
+    and odd-antihole verdicts are computed only when n is at most
+    :data:`DEFAULT_VERIFY_BUDGET`, off the non-chordal component squares
+    (holes and antiholes are connected; a chordal square has neither, as
+    every co-C_k with k >= 6 holds an induced C4). Each is copied out of
+    the filled square unless it is all of it, so no search runs on the
+    complement of the whole square. The polynomial hole test gives the hole
+    verdict, and :func:`find_odd_antihole` runs its exhaustive DFS only when
+    the copy's complement has a hole.
+    """
+    rows = [None] * g.n
+    parts, _ = _lexbfs(g, True, rows)
+    non_chordal = [mask for mask, order, _ in parts if order is None]
+    if g.n > DEFAULT_VERIFY_BUDGET:
+        return SquareDiagnostics(not non_chordal, None, None)
+    full = (1 << g.n) - 1
+    sq = Graph._built(tuple(r or _square_row(g.masks, v, full) for v, r in enumerate(rows)))
+    copies = [
+        sq if len(parts) == 1 else induced_subgraph(sq, _mask_to_tuple(mask))
+        for mask in non_chordal
+    ]
+    hole_free = all(not _has_hole(h) for h in copies)
+    odd_antihole_free = all(find_odd_antihole(h) is None for h in copies)
+    return SquareDiagnostics(not non_chordal, hole_free, odd_antihole_free)

@@ -30,6 +30,7 @@ from perfcode import (
     path_graph,
     solve,
     square,
+    square_diagnostics,
     witness_is_valid,
     PatternWitness,
 )
@@ -592,7 +593,7 @@ def test_lexbfs_and_solve_on_a_large_tree():
     order = lexbfs_order(sq)
     assert is_perfect_elimination_order(sq, reversed(order))
     solution = solve(tree)
-    assert solution.path == "chordal-square" and solution.diagnostics.chordal
+    assert solution.path == "chordal-square" and square_diagnostics(tree).chordal
     assert solution.exists == oracle_ed(tree).exists
 
 

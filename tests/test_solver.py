@@ -1,7 +1,9 @@
 import hashlib
 import inspect
 import random
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     complete_graph, dense_graphs, disjoint_union, edge_sets, g_k, h_k, planted_ed_graph,
 )
 from perfcode import (
+    Graph,
     closed_neighborhood_weights,
     complete_sun,
     cycle_graph,
@@ -27,6 +30,7 @@ from perfcode import (
     path_graph,
     solve,
     square,
+    square_diagnostics,
     verify_ed,
     SquareDiagnostics,
 )
@@ -90,9 +94,10 @@ def test_solve_weighted_c6_takes_exact_fallback():
     assert solution.exists and solution.vertices == (0, 3)
     assert solution.user_weight == 5
     assert solution.path == "exact-fallback"
-    assert solution.diagnostics.chordal is False
-    assert solution.diagnostics.hole_free is True
-    assert solution.diagnostics.odd_antihole_free is True
+    diagnostics = square_diagnostics(cycle_graph(6))
+    assert diagnostics.chordal is False
+    assert diagnostics.hole_free is True
+    assert diagnostics.odd_antihole_free is True
 
 
 def test_solve_empty_graph():
@@ -130,8 +135,8 @@ def test_non_integer_weights_are_rejected(bad):
 
 def test_solve_rejects_unknown_mode():
     # each component's square picks its route, so solve takes no mode;
-    # every result reports diagnostics.chordal and its path, and oracle_ed
-    # is the cross-check, called by name
+    # every result reports its path, and oracle_ed is the cross-check,
+    # called by name
     assert list(inspect.signature(solve).parameters) == ["g", "user"]
     for mode in ("exact", "chordal", "oracle"):
         with pytest.raises(TypeError, match="mode"):
@@ -146,10 +151,10 @@ def test_solve_forced_paths():
 
 def test_solve_respects_verify_budget():
     # n = 31 is one past DEFAULT_VERIFY_BUDGET
-    solution = solve(path_graph(31))
-    assert solution.diagnostics.chordal is True
-    assert solution.diagnostics.hole_free is None
-    assert solution.diagnostics.odd_antihole_free is None
+    diagnostics = square_diagnostics(path_graph(31))
+    assert diagnostics.chordal is True
+    assert diagnostics.hole_free is None
+    assert diagnostics.odd_antihole_free is None
 
 
 def _assert_diagnostics_of_whole_square(g):
@@ -157,7 +162,7 @@ def _assert_diagnostics_of_whole_square(g):
     expected = SquareDiagnostics(
         is_chordal(sq)[0], find_hole(sq) is None, find_odd_antihole(sq) is None
     )
-    assert solve(g).diagnostics == expected
+    assert square_diagnostics(g) == expected
 
 
 @given(edge_sets(max_n=8), edge_sets(max_n=8))
@@ -172,8 +177,8 @@ def test_diagnostics_match_whole_square(ne_a, ne_b):
 @given(edge_sets(max_n=12))
 @settings(max_examples=200, deadline=None)
 def test_diagnostics_of_single_graphs_match_whole_square(ne):
-    # covers connected graphs, where solve tests the square of the graph
-    # itself, not of a copy
+    # covers connected graphs, where square_diagnostics tests the square of
+    # the graph itself, not of a copy
     _assert_diagnostics_of_whole_square(from_edge_list(*ne))
 
 
@@ -188,21 +193,22 @@ def test_diagnostics_of_single_graphs_match_whole_square(ne):
 )
 def test_diagnostics_see_every_component(g, expected):
     _assert_diagnostics_of_whole_square(g)
-    assert solve(g).diagnostics == expected
+    assert square_diagnostics(g) == expected
 
 
 def test_verify_budget_applies_to_the_whole_graph():
     # every component is under the budget of 30, the whole graph (n = 31) is not
-    solution = solve(disjoint_union(cycle_graph(6), *[cycle_graph(5)] * 5))
-    assert solution.diagnostics == SquareDiagnostics(False, None, None)
+    g = disjoint_union(cycle_graph(6), *[cycle_graph(5)] * 5)
+    assert square_diagnostics(g) == SquareDiagnostics(False, None, None)
 
 
 def _count_calls(monkeypatch):
-    """Count solve's calls of the hole test, the searches and the component copies.
+    """Count the solver's calls of the hole test, the searches and the component copies.
 
     `is_chordal` and `square` are counted too, and no test below expects
-    them: solve takes the chordality verdict alone, with no cycle witness,
-    and computes the rows of the square it reads one by one.
+    them: solve and square_diagnostics take the chordality verdict alone,
+    with no cycle witness, and compute the rows of the square they read
+    one by one.
     """
     import perfcode.solver
 
@@ -228,25 +234,23 @@ def _count_calls(monkeypatch):
 
 def test_chordal_connected_square_runs_no_search_and_no_copy(monkeypatch):
     calls = _count_calls(monkeypatch)
-    solution = solve(path_graph(10))
-    assert solution.diagnostics == SquareDiagnostics(True, True, True)
+    assert square_diagnostics(path_graph(10)) == SquareDiagnostics(True, True, True)
     assert calls == Counter()
 
 
 def test_hole_verdict_comes_from_the_hole_test(monkeypatch):
-    # the square of C9 has a hole, an induced C5, which solve does not build
+    # the square of C9 has a hole, an induced C5, which square_diagnostics does not build
     assert is_chordal(square(cycle_graph(9)))[1].kind == "C5"
     calls = _count_calls(monkeypatch)
-    solution = solve(cycle_graph(9))
-    assert solution.diagnostics == SquareDiagnostics(False, False, True)
+    assert square_diagnostics(cycle_graph(9)) == SquareDiagnostics(False, False, True)
     assert calls == Counter(_has_hole=1, find_odd_antihole=1)
 
 
 def test_c4_certificate_runs_both_searches(monkeypatch):
     assert is_chordal(square(cycle_graph(6)))[1].kind == "C4"
     calls = _count_calls(monkeypatch)
-    solution = solve(disjoint_union(cycle_graph(6), path_graph(3)))
-    assert solution.diagnostics == SquareDiagnostics(False, True, True)
+    g = disjoint_union(cycle_graph(6), path_graph(3))
+    assert square_diagnostics(g) == SquareDiagnostics(False, True, True)
     # the hole verdict needs no witness, so the polynomial test stands in for find_hole
     # one copy, of the non-chordal component's square, for the diagnostics
     assert calls == Counter(_has_hole=1, find_odd_antihole=1, induced_subgraph=1)
@@ -257,8 +261,33 @@ def test_disconnected_chordal_graph_is_solved_in_place(monkeypatch):
     g = disjoint_union(path_graph(3), path_graph(4), from_edge_list(1, []))
     solution = solve(g)
     assert solution.vertices == (1, 3, 6, 7)
-    assert solution.diagnostics == SquareDiagnostics(True, True, True)
+    assert square_diagnostics(g) == SquareDiagnostics(True, True, True)
     assert calls == Counter()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(6),
+        cycle_graph(7),
+        cycle_graph(9),
+        disjoint_union(cycle_graph(6), path_graph(3)),
+        disjoint_union(path_graph(3), cycle_graph(7)),
+        complete_sun(4),
+    ],
+)
+def test_solve_computes_no_diagnostics(monkeypatch, g):
+    # solve reads the chordality verdict that picks each route and nothing
+    # more: no hole test, no search, no component copy, no square graph
+    user = [1 + v % 3 for v in range(g.n)]
+    reference = oracle_ed(g, user)
+    calls = _count_calls(monkeypatch)
+    built = []
+    monkeypatch.setattr(Graph, "_built", classmethod(lambda cls, masks: built.append(masks)))
+    solution = solve(g, user)
+    assert solution.diagnostics is None
+    assert calls == Counter() and built == []
+    assert (solution.vertices, solution.user_weight) == (reference.vertices, reference.user_weight)
 
 
 @pytest.mark.parametrize(
@@ -276,7 +305,7 @@ def test_c4_certificate_with_a_hole_elsewhere(g):
     sq = square(g)
     assert is_chordal(sq)[1].kind == "C4"
     assert find_hole(sq).kind == "C5"
-    assert solve(g).diagnostics.hole_free is False
+    assert square_diagnostics(g).hole_free is False
 
 
 def _pinned_solve_inputs(count=1500):
@@ -296,18 +325,24 @@ def _pinned_solve_inputs(count=1500):
 
 
 def test_solve_outputs_are_pinned():
-    """Whole solve results, diagnostics included, on 3,000 calls.
+    """Whole solve results, with the square diagnostics attached, on 3,000 calls.
 
     The digest was recorded at commit fcfc125 and re-pinned once when ties
     on user weight went to the lexicographically least e.d.: 363 of the
     calls changed their vertices, and nothing else. It was re-pinned once
     more when solve lost its mode, to the digest of this loop (without
-    mode="exact") at commit 01e35da, so no output of solve changed.
+    mode="exact") at commit 01e35da, so no output of solve changed. Since
+    solve stopped computing the diagnostics, each result gets those of
+    square_diagnostics attached, so the hashed bytes are those of solve's
+    results when it still carried them.
     """
     digest = hashlib.sha256()
     for g, weights in _pinned_solve_inputs():
+        diagnostics = square_diagnostics(g)
         for user in (None, weights):
-            digest.update(repr(solve(g, user)).encode() + b"\n")
+            solution = solve(g, user)
+            assert solution.diagnostics is None
+            digest.update(repr(replace(solution, diagnostics=diagnostics)).encode() + b"\n")
     assert digest.hexdigest() == SOLVE_DIGEST
 
 
@@ -380,7 +415,7 @@ def test_components_run_in_order():
     # C6, whose square is not chordal, and the path stays the greedy's
     solution = solve(disjoint_union(cycle_graph(4), cycle_graph(6)))
     assert not solution.exists and solution.path == "chordal-square"
-    assert solution.diagnostics.chordal is False
+    assert square_diagnostics(disjoint_union(cycle_graph(4), cycle_graph(6))).chordal is False
     # C6 comes first, so the exact cover runs, and C4 then has no e.d.
     solution = solve(disjoint_union(cycle_graph(6), cycle_graph(4)))
     assert not solution.exists and solution.path == "exact-fallback"
@@ -701,6 +736,21 @@ def test_many_components_match_the_oracle(name):
             assert solution.user_weight == copies * expected.user_weight
 
 
+@pytest.mark.usefixtures("time_limit")
+def test_tie_fold_is_as_wide_as_the_component():
+    # each greedy weight is shifted by its component's size, not by n: over
+    # 10,000 one-vertex components, n-bit entries would take about 12.5 MB
+    g = from_edge_list(10000, [])
+    tracemalloc.start()
+    try:
+        solution = solve(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.vertices == tuple(range(10000))
+    assert peak < 20_000_000, peak
+
+
 # -- dense graphs: complete squares -------------------------------------------
 
 def _assert_matches_the_references(g, user):
@@ -736,7 +786,7 @@ def test_solve_on_unions_of_cliques(sizes):
     g = disjoint_union(*[complete_graph(k) for k in sizes])
     user = [(7 * v) % 5 + 1 for v in range(g.n)]
     got = solve(g, user)
-    assert got.path == "chordal-square" and got.diagnostics.chordal
+    assert got.path == "chordal-square" and square_diagnostics(g).chordal
     _assert_matches_the_references(g, user)
 
 
@@ -748,5 +798,5 @@ def test_complete_square_without_an_ed(n):
     g = from_edge_list(n, [(u, v) for u, v in combinations(range(n), 2) if v != u + 1 or u % 2])
     assert square(g).edge_count == n * (n - 1) // 2
     got = solve(g)
-    assert not got.exists and got.path == "chordal-square" and got.diagnostics.chordal
+    assert not got.exists and got.path == "chordal-square" and square_diagnostics(g).chordal
     _assert_matches_the_references(g, [1] * n)

@@ -138,10 +138,10 @@ def _cmd_solve(args) -> int:
     else:
         weights = tuple([1] * gf.graph.n)
     if args.force_path == "oracle":
-        solution = oracle_ed(gf.graph, weights)
+        solution, diag = oracle_ed(gf.graph, weights), None
     else:
-        solution = replace(solve(gf.graph, weights), diagnostics=square_diagnostics(gf.graph))
-    diag = asdict(solution.diagnostics) if solution.diagnostics is not None else None
+        solution = solve(gf.graph, weights)
+        diag = asdict(square_diagnostics(gf.graph))
     if args.json:
         document = {
             "exists": solution.exists,

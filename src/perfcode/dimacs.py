@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, from_edge_list
+from .mwis import _check_weights
 
 
 class DimacsError(ValueError):
@@ -98,7 +99,6 @@ def write_dimacs(
     lines.append(f"p edge {graph.n} {graph.edge_count}")
     lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
     if weights is not None:
-        if len(weights) != graph.n:
-            raise ValueError(f"weight vector has length {len(weights)}, expected {graph.n}")
-        lines.extend(f"n {v + 1} {w}" for v, w in enumerate(weights))
+        # non-negative ints only, as parse_dimacs reads them back
+        lines.extend(f"n {v + 1} {w}" for v, w in enumerate(_check_weights(graph, weights)))
     return "\n".join(lines) + "\n"

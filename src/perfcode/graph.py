@@ -238,11 +238,13 @@ def path_graph(k: int) -> Graph:
 
 
 def complete_sun(k: int) -> Graph:
-    """Complete k-sun: a clique 0..k-1, plus outer vertex k+i seeing i, i+1.
+    """Complete k-sun for k >= 3: a clique 0..k-1, plus outer vertex k+i seeing i, i+1.
 
     The complete 4-sun is the standard witness that squaring a chordal
     graph can create an induced C4.
     """
+    if k < 3:
+        raise ValueError("sun needs at least 3 clique vertices")
     edges = list(combinations(range(k), 2))
     for i in range(k):
         edges.append((i, k + i))

@@ -222,24 +222,24 @@ def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list]
     all run it with `check`. Returns the parts and the `seen` masks. The
     parts hold one ``[mask, order, failed]`` entry per connected
     component, in the order of :func:`~perfcode.graph.connected_components`:
-    the component's vertex bitmask, its visit order and None. A visit whose
-    cell has no visited member (``last == -1``) has no visited neighbor, so
-    it starts the next component; LexBFS finishes a component before it
-    leaves it, and starts the next at the least unvisited vertex, so each
-    order is the LexBFS order of the induced component, ids mapped back.
+    None, its visit order and None. A visit whose cell has no visited
+    member (``last == -1``) has no visited neighbor, so it starts the next
+    component; LexBFS finishes a component before it leaves it, and starts
+    the next at the least unvisited vertex, so each order is the LexBFS
+    order of the induced component, ids mapped back.
 
     With `check`, ``seen[v]`` is the bitmask of v's neighbors visited
     before v (0 without `check`): on a chordal component, v's later
     neighbors in the perfect elimination order. A component whose visit v
-    fails the parent check gets order None and ``failed = v``, whose
-    visited neighbors are ``seen[v]``, and its remaining vertices are
-    dropped at once. At most one cell has ``last == -1``, the last one: it
-    holds every unvisited vertex with no visited neighbor. Every other
-    unvisited vertex sees a visited one, so it lies in this component and
-    is dropped with no row read; a BFS from them (and from v's unvisited
-    neighbors) over that last cell finds the rest of the component and
-    stops once the cell is used up. The loop goes on with the next
-    component, from what is left of that cell.
+    fails the parent check becomes ``[mask, None, v]``, the only kind of
+    part with a vertex bitmask; v's visited neighbors are ``seen[v]``. Its
+    remaining vertices are dropped at once. At most one cell has
+    ``last == -1``, the last one: it holds every unvisited vertex with no
+    visited neighbor. Every other unvisited vertex sees a visited one, so
+    it lies in this component and is dropped with no row read; a BFS from
+    them (and from v's unvisited neighbors) over that last cell finds the
+    rest of the component and stops once the cell is used up. The loop
+    goes on with the next component, from what is left of that cell.
     Given `rows`, it runs on the square of g, with row v in ``rows[v]``,
     filled in place if None at the first visit that reads it; the BFS runs
     over ``g.masks`` either way, as g and its square share components.
@@ -254,7 +254,6 @@ def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list]
     cell_of = [0] * n
     head = 0 if n else -1
     unvisited = full
-    # Each pair first holds `unvisited` before its component started.
     parts = []
     seen_of = [0] * n
     while head >= 0:
@@ -273,14 +272,14 @@ def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list]
         nb = row & unvisited
         if p < 0:
             order = [v]
-            parts.append([unvisited | first, order, None])
+            start = unvisited | first
+            parts.append([None, order, None])
         else:
             order.append(v)
             if check:
                 # v's visited neighbors, p among them: all but p must see p
                 seen = seen_of[v] = row ^ nb
                 if seen & nbr[p] != seen ^ (1 << p):
-                    parts[-1][1:] = None, v
                     reached, c = nb, head
                     while c >= 0 and last[c] >= 0:
                         reached |= members[c]
@@ -294,6 +293,7 @@ def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list]
                         reached |= fresh
                         frontier = (frontier ^ low) | fresh
                     unvisited ^= reached
+                    parts[-1][:] = start ^ unvisited, None, v
                     # What is left sees no visited vertex: it is all in the last cell.
                     if unvisited:
                         head = c
@@ -342,8 +342,6 @@ def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list]
                 low = moved & -moved
                 moved ^= low
                 cell_of[low.bit_length() - 1] = k
-    for i in range(len(parts) - 1):
-        parts[i][0] ^= parts[i + 1][0]
     return parts, seen_of
 
 

@@ -36,6 +36,19 @@ def test_parse_weight_line():
         write_dimacs(path_graph(3), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((1, "x"), "non-integer weight 'x' at vertex 1"),
+        ((1, 2.0), "non-integer weight 2.0 at vertex 1"),
+        ((-1, 2), "negative weight -1 at vertex 0"),
+    ],
+)
+def test_write_rejects_weights_it_could_not_read_back(weights, message):
+    with pytest.raises(ValueError, match=message):
+        write_dimacs(path_graph(2), weights)
+
+
 def test_parse_comments_and_blanks():
     gf = parse_dimacs("c a comment\n\np edge 2 1\nc more\ne 1 2\n")
     assert gf.graph == path_graph(2)

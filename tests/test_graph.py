@@ -111,6 +111,13 @@ def test_from_edge_list_rejects_negative_n():
         cycle_graph(2)
 
 
+@pytest.mark.parametrize("k", [2, 1, 0])
+def test_complete_sun_rejects_fewer_than_3_clique_vertices(k):
+    # at k = 2 the outer edges would repeat clique edges and collapse
+    with pytest.raises(ValueError, match="sun needs at least 3 clique vertices"):
+        complete_sun(k)
+
+
 @given(edge_sets(max_n=12), st.data())
 @settings(max_examples=100, deadline=None)
 def test_derived_graphs_pass_the_checked_constructor(ne, data):

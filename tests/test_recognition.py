@@ -397,13 +397,14 @@ def _component_verdicts(g):
     """_lexbfs's component pass against each induced component; its verdicts."""
     parts, seen = _lexbfs(g, True)
     components = connected_components(g)
-    assert [mask for mask, _, _ in parts] == [sum(1 << v for v in c) for c in components]
+    assert len(parts) == len(components)
     for (mask, order, failed), component in zip(parts, components):
         sub = induced_subgraph(g, component)
         assert (order is not None) == is_class_member(sub, "chordal")
         if order is not None:
+            # the order lists the component's vertices; only a failing part keeps a mask
             assert order == [component[v] for v in lexbfs_order(sub)]
-            assert failed is None
+            assert mask is None and failed is None
             # each visit's mask holds exactly its neighbors visited before it
             for i, v in enumerate(order):
                 assert seen[v] == g.masks[v] & sum(1 << u for u in order[:i])
@@ -417,6 +418,7 @@ def _component_verdicts(g):
                 if any(not g.adjacent(u, w) for u, w in combinations(visited, 2)):
                     break
                 earlier |= 1 << v
+            assert mask == sum(1 << u for u in component)
             assert failed == v and seen[v] == before
             assert (mask >> v) & 1 and before & mask == before and not (before >> v) & 1
     unchecked, unseen = _lexbfs(g, False)
@@ -425,7 +427,7 @@ def _component_verdicts(g):
         [component[v] for v in lexbfs_order(induced_subgraph(g, component))]
         for component in components
     ]
-    assert all(failed is None for _, _, failed in unchecked)
+    assert all(mask is None and failed is None for mask, _, failed in unchecked)
     return [order is not None for _, order, _ in parts]
 
 

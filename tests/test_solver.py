@@ -368,7 +368,9 @@ def _assert_on_demand_rows_match(g, user):
     assert (parts, seen) == _lexbfs(sq, True)
     assert all(row is None or row == sq.masks[v] for v, row in enumerate(rows))
     closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
-    for mask, _, _ in parts:
+    for mask, order, _ in parts:
+        if order is not None:
+            mask = sum(1 << v for v in order)
         assert _min_weight_ed(closed, rows, user, mask) == _min_weight_ed(
             closed, list(sq.masks), user, mask
         )
@@ -737,17 +739,19 @@ def test_many_components_match_the_oracle(name):
 
 
 @pytest.mark.usefixtures("time_limit")
-def test_tie_fold_is_as_wide_as_the_component():
-    # each greedy weight is shifted by its component's size, not by n: over
-    # 10,000 one-vertex components, n-bit entries would take about 12.5 MB
-    g = from_edge_list(10000, [])
+@pytest.mark.parametrize("n", [10000, 40000])
+def test_tie_fold_and_lexbfs_parts_are_as_wide_as_the_component(n):
+    # each greedy weight is shifted by its component's size, not by n, and a
+    # chordal LexBFS part keeps no vertex mask: over 10,000 one-vertex
+    # components, n-bit entries would take about 12.5 MB; over 40,000, 200 MB
+    g = from_edge_list(n, [])
     tracemalloc.start()
     try:
         solution = solve(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert solution.vertices == tuple(range(10000))
+    assert solution.vertices == tuple(range(n))
     assert peak < 20_000_000, peak
 
 

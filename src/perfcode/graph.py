@@ -36,7 +36,7 @@ class Graph:
     def __post_init__(self):
         """Check that the masks are in range, loop-free and symmetric."""
         n, masks = self.n, tuple(self.masks)
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")

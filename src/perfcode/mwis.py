@@ -31,15 +31,16 @@ def _check_weights(g: Graph, weights: Sequence[int]) -> tuple[int, ...]:
     if len(w) != g.n:
         raise ValueError(f"weight vector has length {len(w)}, expected {g.n}")
     # C-level passes for the usual case: a float, or any other non-int, in w
-    # makes the sum a non-int or raises. Only a failing vector walks the
-    # vertices, to name the culprit.
+    # makes the sum a non-int or raises; a bool sums as an int, so its type
+    # is looked for. Only a failing vector walks the vertices, to name the
+    # culprit.
     try:
-        if not w or (type(sum(w)) is int and min(w) >= 0):
+        if not w or (type(sum(w)) is int and min(w) >= 0 and bool not in map(type, w)):
             return w
     except TypeError:
         pass
     for v, wv in enumerate(w):
-        if not isinstance(wv, int):
+        if isinstance(wv, bool) or not isinstance(wv, int):
             raise ValueError(f"non-integer weight {wv!r} at vertex {v}")
         if wv < 0:
             raise ValueError(f"negative weight {wv} at vertex {v}")

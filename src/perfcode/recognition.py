@@ -70,7 +70,8 @@ def pattern_graph(kind: str) -> Graph:
             raise ValueError(f"bad antihole pattern {kind!r}")
         return complement(cycle_graph(k))
     if kind == "house":
-        return complement(path_graph(5))
+        # 5-cycle 0-1-2-3-4 with the chord 2-4: each position sees an earlier one
+        return from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 4)])
     if kind == "domino":
         # path 0-1-2-3-4 plus a vertex 5 seeing 0, 2 and 4
         return from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (2, 5), (4, 5)])
@@ -96,14 +97,10 @@ def witness_is_valid(g: Graph, witness: PatternWitness) -> bool:
 #: the house's reflection; the domino's reflections and their product;
 #: the bull's reflection.
 _FIXED_LEX_LEADER_PAIRS = {
-    "house": {(0, 4)},
+    "house": {(0, 1)},
     "domino": {(0, 1), (0, 3), (0, 4)},
     "bull": {(0, 1)},
 }
-
-#: Witness positions in an order where each sees an earlier one, with that
-#: order's lex-leader pairs: the house's reflection swaps its first two.
-_CONNECTED_ORDER = {"house": ((1, 3, 0, 2, 4), {(0, 1)})}
 
 
 def _lex_leader_pairs(kind: str) -> frozenset[tuple[int, int]]:
@@ -128,23 +125,21 @@ def _lex_leader_pairs(kind: str) -> frozenset[tuple[int, int]]:
 
 
 @lru_cache(maxsize=32)
-def _constraint_table(kind: str, connected: bool = False) -> tuple[tuple[tuple, ...], ...]:
+def _constraint_table(kind: str) -> tuple[tuple[tuple, ...], ...]:
     """Per position i, the (p, adjacent?, ordered?) triple for every later position p.
 
-    `ordered` marks the lex-leader pairs of :func:`_lex_leader_pairs`, where
-    p must exceed the vertex placed at i; `connected` takes both from
-    :data:`_CONNECTED_ORDER`. Bounded: callers choose any path or cycle length.
+    `ordered` marks the lex-leader pairs of :func:`_lex_leader_pairs`, where p
+    must exceed the vertex at i. Bounded: callers choose any path or cycle length.
     """
-    pattern = pattern_graph(kind)
+    pattern, ordered = pattern_graph(kind), _lex_leader_pairs(kind)
     k = pattern.n
-    at, ordered = connected and _CONNECTED_ORDER.get(kind) or (range(k), _lex_leader_pairs(kind))
     return tuple(
-        tuple((p, pattern.adjacent(at[i], at[p]), (i, p) in ordered) for p in range(i + 1, k))
+        tuple((p, pattern.adjacent(i, p), (i, p) in ordered) for p in range(i + 1, k))
         for i in range(k)
     )
 
 
-def _embeddings(g: Graph, kind: str, connected: bool = False) -> Iterator[tuple[int, ...]]:
+def _embeddings(g: Graph, kind: str) -> Iterator[tuple[int, ...]]:
     """The least induced embedding in each automorphism orbit, in lexicographic order.
 
     Iterative depth-first search over pattern positions with forward
@@ -160,10 +155,9 @@ def _embeddings(g: Graph, kind: str, connected: bool = False) -> Iterator[tuple[
     orbit under the pattern's automorphisms, so each orbit comes out once
     (one of the 10 orientations of a C5, say). The least embedding of all
     is least in its orbit too, so the first one yielded is still the
-    least embedding of the pattern. `connected` yields the same orbits in
-    the position order of :data:`_CONNECTED_ORDER`, each as another member.
+    least embedding of the pattern.
     """
-    table = _constraint_table(kind, connected)
+    table = _constraint_table(kind)
     k = len(table)
     if g.n < k:
         return
@@ -206,7 +200,9 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 
     The first embedding :func:`_embeddings` yields: that search keeps one
     embedding per automorphism orbit, the least, so the least of all is
-    among them.
+    among them. Every position after the first sees an earlier one, except in
+    "co-Ck": position 1 misses 0, so ``find_pattern(g, "co-C7")`` tries every
+    non-adjacent pair, quadratic on sparse graphs; use :func:`find_odd_antihole`.
     """
     first = next(_embeddings(g, kind), None)
     return None if first is None else PatternWitness(kind, first)
@@ -713,15 +709,14 @@ def is_class_member(g: Graph, class_tag: str) -> bool:
     Stops at the first forbidden pattern found. For (P6,HHD)-free the
     polynomial hole test :func:`_has_hole` runs first, in place of the C5
     and C6 searches (a hole of length 5 or 6 is one of them, and a longer
-    hole contains an induced P6). Patterns are then searched fewest
-    vertices first, ties in listed order: house, P6, domino for
-    (P6,HHD)-free; house, P6 for (P6,house)-free; bull, P6 for
-    (P6,bull)-free, the house in the order of :data:`_CONNECTED_ORDER`.
-    "chordal" runs the LexBFS test alone and builds no cycle witness.
+    hole contains an induced P6). Patterns are then searched fewest vertices
+    first, ties in listed order: house, P6, domino for (P6,HHD)-free; house,
+    P6 for (P6,house)-free; bull, P6 for (P6,bull)-free. "chordal" runs the
+    LexBFS test alone and builds no cycle witness.
     """
     _check_class_tag(class_tag)
     if class_tag == "chordal":
         return all(order is not None for _, order, _ in _lexbfs(g, True)[0])
     if class_tag in _HOLE_PATTERNS and _has_hole(g):
         return False
-    return all(next(_embeddings(g, kind, True), None) is None for kind in _SEARCH_ORDER[class_tag])
+    return all(next(_embeddings(g, kind), None) is None for kind in _SEARCH_ORDER[class_tag])

@@ -42,6 +42,8 @@ def test_parse_weight_line():
         ((1, "x"), "non-integer weight 'x' at vertex 1"),
         ((1, 2.0), "non-integer weight 2.0 at vertex 1"),
         ((-1, 2), "negative weight -1 at vertex 0"),
+        # a bool would be written as "True", which the parser rejects
+        ((True, 1), "non-integer weight True at vertex 0"),
     ],
 )
 def test_write_rejects_weights_it_could_not_read_back(weights, message):

@@ -65,6 +65,7 @@ def test_from_edge_list_rejects_out_of_range():
         (2, [0.5, 0], "neighbor mask 0.5 at vertex 0 is not an int"),
         (1, ["a"], "neighbor mask 'a' at vertex 0 is not an int"),
         (2.0, [0, 0], "vertex count must be an int, got 2.0"),
+        (True, [0], "vertex count must be an int, got True"),
     ],
 )
 def test_graph_rejects_bad_masks(n, masks, message):

@@ -117,7 +117,7 @@ def test_solve_weight_length_mismatch():
         solve(path_graph(3), (1, 2))
 
 
-@pytest.mark.parametrize("bad", [0.5, 1e17, "3"])
+@pytest.mark.parametrize("bad", [0.5, 1e17, "3", True])
 def test_non_integer_weights_are_rejected(bad):
     """Every entry point that takes weights names the first non-integer one."""
     g = path_graph(3)

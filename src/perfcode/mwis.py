@@ -58,7 +58,7 @@ def mwis_chordal(g: Graph, weights: Sequence[int]) -> MwisResult:
     ValueError if the graph is not chordal.
     """
     w = _check_weights(g, weights)
-    parts, seen = _lexbfs(g, True)
+    parts, seen = _lexbfs(g, True, stop_at_failure=True)
     residual = list(w)
     chosen = 0
     for _, order, _ in parts:

@@ -210,7 +210,9 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 
 # -- chordality ---------------------------------------------------------------
 
-def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list], list[int]]:
+def _lexbfs(
+    g: Graph, check: bool, rows: list | None = None, *, stop_at_failure: bool = False,
+) -> tuple[list[list], list[int]]:
     """The LexBFS loop of :func:`lexbfs_order`; checked, the one source of elimination orders.
 
     :func:`is_chordal`, :func:`is_class_member`,
@@ -239,6 +241,11 @@ def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list]
     Given `rows`, it runs on the square of g, with row v in ``rows[v]``,
     filled in place if None at the first visit that reads it; the BFS runs
     over ``g.masks`` either way, as g and its square share components.
+    With `stop_at_failure`, the pass returns once a component fails, that
+    part last: the callers that need only the verdict and the failing visit
+    (:func:`is_chordal`, :func:`is_class_member`,
+    :func:`~perfcode.mwis.mwis_chordal`) set it, while ``solve`` and
+    ``square_diagnostics`` need every part.
     """
     n = g.n
     nbr = g.masks if rows is None else rows
@@ -290,6 +297,8 @@ def _lexbfs(g: Graph, check: bool, rows: list | None = None) -> tuple[list[list]
                         frontier = (frontier ^ low) | fresh
                     unvisited ^= reached
                     parts[-1][:] = start ^ unvisited, None, v
+                    if stop_at_failure:
+                        break
                     # What is left sees no visited vertex: it is all in the last cell.
                     if unvisited:
                         head = c
@@ -367,7 +376,9 @@ def lexbfs_order(g: Graph) -> tuple[int, ...]:
     order is a perfect elimination order iff every visited neighbor of v
     other than p is adjacent to p. It stops a component at its first
     failing vertex, which proves it not chordal and yields the witness, and
-    goes on with the next; this function runs the loop to the end.
+    goes on with the next, except in the callers that need only the verdict
+    and the witness, which stop there; this function runs the loop to the
+    end.
 
     A cell with no visited member (`last` = -1) holds only vertices with no
     visited neighbor, so a visit from it starts a new connected component:
@@ -441,7 +452,7 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | PatternWitness]:
     runs through v and two nonadjacent visited neighbors of it, and the rest
     of the cycle is a path the search finds. The AssertionError guards this.
     """
-    parts, seen_of = _lexbfs(g, True)
+    parts, seen_of = _lexbfs(g, True, stop_at_failure=True)
     v = next((failed for _, _, failed in parts if failed is not None), None)
     if v is None:
         # A list first: tuple() over a chain of the parts grows by resizing,
@@ -716,7 +727,8 @@ def is_class_member(g: Graph, class_tag: str) -> bool:
     """
     _check_class_tag(class_tag)
     if class_tag == "chordal":
-        return all(order is not None for _, order, _ in _lexbfs(g, True)[0])
+        parts = _lexbfs(g, True, stop_at_failure=True)[0]
+        return all(order is not None for _, order, _ in parts)
     if class_tag in _HOLE_PATTERNS and _has_hole(g):
         return False
     return all(next(_embeddings(g, kind), None) is None for kind in _SEARCH_ORDER[class_tag])

@@ -11,11 +11,14 @@ serves the independent oracle :func:`oracle_ed`; it reads candidates off
 closed neighborhoods and never touches the square, so it shares no code
 with the pipeline.
 
-One LexBFS pass over the square, with the parent check, yields every
-connected component with its chordality verdict; the check stops a
-component at the first vertex that fails and builds no cycle witness.
-The square is not built up front: each row is computed when the pass or
-the exact cover first reads it. The square's structure verdicts are a
+A graph of diameter at most 2 has a complete square, so its e.d.s are
+its universal vertices (a vertex that sees every other): solve answers it
+from its first rows, with no LexBFS and no greedy. Otherwise one LexBFS
+pass over the square, with the parent check, yields every connected
+component with its chordality verdict; the check stops a component at
+the first vertex that fails and builds no cycle witness. The square is
+not built up front: each row is computed when the pass or the exact
+cover first reads it. The square's structure verdicts are a
 call of their own, :func:`square_diagnostics`, which solve never makes.
 """
 
@@ -28,7 +31,6 @@ from .graph import (
     Graph,
     _mask_to_tuple,
     _square_row,
-    closed_neighborhood_weights,
     connected_components,  # not called here; bench/tracing.py wraps it by this name
     induced_subgraph,
     square,  # not called here; bench/tracing.py wraps it by this name
@@ -241,19 +243,39 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     carries no diagnostics (see :func:`square_diagnostics`).
 
     Cost: a graph of diameter at most 2 has a complete square, which is
-    chordal. Squaring stops each row once it is full (on a dense graph,
-    after a few neighbor rows); then LexBFS hits its one cell at every
-    visit and the greedy is one running maximum, so past the square the
-    component costs O(n) row steps, not one step per edge of the square.
+    chordal, and on a clique the greedy's unique folded optimum is the
+    lightest universal vertex, least id on ties, or a vertex that does not
+    cover the graph when there is none. So solve first computes rows 0, 1,
+    ... while each is full, and when all n are it returns that vertex, or
+    no e.d., on the path "chordal-square", with no LexBFS and no greedy.
+    Squaring stops each row once it is full (on a dense graph, after a few
+    neighbor rows), so that answer costs O(n) row steps. At the first row
+    that is not full it goes on as above: while every row so far is full,
+    LexBFS keeps all unvisited vertices in one cell and visits 0, 1, ...
+    in turn, each passing the parent check, so the rows already computed
+    are the first ones the pass reads, and none is computed twice.
     """
     weights = _check_weights(g, user) if user is not None else None
     unit = weights if weights is not None else (0,) * g.n
+    masks = g.masks
 
+    full = (1 << g.n) - 1
     rows = [None] * g.n
+    for v in range(g.n):
+        rows[v] = _square_row(masks, v, full)
+        if rows[v] | 1 << v != full:
+            break
+    else:
+        if g.n:
+            # a complete square: each e.d. is one vertex that sees every other
+            universal = [u for u, mask in enumerate(masks) if mask | 1 << u == full]
+            if not universal:
+                return EDSolution(False, None, None, "chordal-square")
+            u = min(universal, key=unit.__getitem__)
+            return EDSolution(True, (u,), None if weights is None else weights[u], "chordal-square")
     parts, seen = _lexbfs(g, True, rows)
-    nbh = closed_neighborhood_weights(g)
     if any(order is None for _, order, _ in parts):
-        closed = [mask | (1 << v) for v, mask in enumerate(g.masks)]
+        closed = [mask | (1 << v) for v, mask in enumerate(masks)]
     combined = [0] * g.n
     chosen = 0
     path = "chordal-square"
@@ -265,12 +287,12 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
             k = len(order)
             scale = 1 + sum(unit[v] for v in order)
             for rank, v in enumerate(sorted(order)):
-                weight = scale * nbh[v] - unit[v]
+                weight = scale * (masks[v].bit_count() + 1) - unit[v]
                 # v's low bit outweighs all larger ids' together: one optimum, the lex-least
                 combined[v] = weight << k | 1 << (k - 1 - rank)
             # uses up this component's entries of combined as residuals
             found = _chordal_greedy(seen, combined, order)
-            if sum(nbh[v] for v in _mask_to_tuple(found)) != k:
+            if sum(masks[v].bit_count() + 1 for v in _mask_to_tuple(found)) != k:
                 found = None
         if found is None:
             return EDSolution(False, None, None, path)

@@ -295,15 +295,41 @@ def test_is_chordal_makes_one_pass(monkeypatch, g):
 
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return _lexbfs(*args)
+        return _lexbfs(*args, **kwargs)
 
     monkeypatch.setattr(recognition, "lexbfs_order", no_second_pass)
     monkeypatch.setattr(recognition, "_lexbfs", counted)
     ok, witness = is_chordal(g)
     assert not ok and witness_is_valid(g, witness)
     assert len(calls) == 1
+
+
+def test_verdict_callers_stop_at_the_first_failing_component(monkeypatch):
+    # the C6's square (K6 less a matching) fails; the tree's square is chordal
+    import perfcode.mwis
+
+    g = square(disjoint_union(cycle_graph(6), gen_random_chordal(3000, 0.0, 1)))
+    parts, _ = _lexbfs(g, True)
+    assert [order is None for _, order, _ in parts] == [True, False]
+    returned = []
+
+    def counted(*args, **kwargs):
+        result = _lexbfs(*args, **kwargs)
+        returned.append(result[0])
+        return result
+
+    monkeypatch.setattr(recognition, "_lexbfs", counted)
+    monkeypatch.setattr(perfcode.mwis, "_lexbfs", counted)
+    ok, witness = is_chordal(g)
+    assert not is_class_member(g, "chordal")
+    with pytest.raises(ValueError, match="not chordal"):
+        perfcode.mwis.mwis_chordal(g, [1] * g.n)
+    # each pass returned after the first part, the C6's
+    assert returned == [parts[:1]] * 3
+    # the witness lies in the C6 and is the one its square alone gives
+    assert not ok and witness == is_chordal(square(cycle_graph(6)))[1]
 
 
 def test_is_perfect_elimination_order_rejects_non_permutation():
@@ -431,6 +457,12 @@ def _component_verdicts(g):
         for component in components
     ]
     assert all(mask is None and failed is None for mask, _, failed in unchecked)
+    # stopped at the first failure, the pass gives the same parts up to it, that one last
+    stopped, stopped_seen = _lexbfs(g, True, stop_at_failure=True)
+    cut = next((i + 1 for i, (_, order, _) in enumerate(parts) if order is None), len(parts))
+    assert stopped == parts[:cut]
+    visited = [v for _, order, failed in stopped for v in order or (failed,)]
+    assert all(stopped_seen[v] == seen[v] for v in visited)
     return [order is not None for _, order, _ in parts]
 
 

@@ -26,6 +26,7 @@ from perfcode import (
     mwis_chordal,
     mwis_exact,
     is_chordal,
+    lexbfs_order,
     oracle_ed,
     path_graph,
     solve,
@@ -202,9 +203,21 @@ def test_verify_budget_applies_to_the_whole_graph():
     assert square_diagnostics(g) == SquareDiagnostics(False, None, None)
 
 
-def _count_calls(monkeypatch):
-    """Count the solver's calls of the hole test, the searches and the component copies.
+SEARCHES = (
+    "_has_hole",
+    "connected_components",
+    "find_hole",
+    "find_odd_antihole",
+    "induced_subgraph",
+    "is_chordal",
+    "square",
+)
 
+
+def _count_calls(monkeypatch, names=SEARCHES):
+    """Count the solver's calls of the named functions.
+
+    By default, the hole test, the searches and the component copies.
     `is_chordal` and `square` are counted too, and no test below expects
     them: solve and square_diagnostics take the chordality verdict alone,
     with no cycle witness, and compute the rows of the square they read
@@ -213,15 +226,6 @@ def _count_calls(monkeypatch):
     import perfcode.solver
 
     calls = Counter()
-    names = (
-        "_has_hole",
-        "connected_components",
-        "find_hole",
-        "find_odd_antihole",
-        "induced_subgraph",
-        "is_chordal",
-        "square",
-    )
     for name in names:
 
         def counted(*args, _name=name, _original=getattr(perfcode.solver, name)):
@@ -794,6 +798,17 @@ def test_solve_on_unions_of_cliques(sizes):
     _assert_matches_the_references(g, user)
 
 
+def _assert_answered_from_the_rows(g, user):
+    """solve answers g, whose square is complete, with no LexBFS pass and no greedy."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_calls(mp, ("_lexbfs", "_chordal_greedy"))
+        got = solve(g, user)
+        assert calls == Counter()
+    assert got.vertices == bf.least_ed(g.n, list(g.edges()), user)
+    assert got == replace(oracle_ed(g, user), path="chordal-square")
+    return got
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_complete_square_without_an_ed(n):
     # K_n minus a perfect matching has diameter 2, so a complete square,
@@ -803,4 +818,108 @@ def test_complete_square_without_an_ed(n):
     assert square(g).edge_count == n * (n - 1) // 2
     got = solve(g)
     assert not got.exists and got.path == "chordal-square" and square_diagnostics(g).chordal
-    _assert_matches_the_references(g, [1] * n)
+    for user in ([1] * n, None):
+        assert _assert_answered_from_the_rows(g, user) == got
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_complete_graph_is_answered_from_the_rows(n):
+    # every vertex of K_n is universal: the lightest wins, the least id on ties
+    g = complete_graph(n)
+    assert _assert_answered_from_the_rows(g, None).vertices == (0,)
+    user = [(3 * v + 2) % 5 for v in range(n)]
+    lightest = min(range(n), key=user.__getitem__)
+    assert _assert_answered_from_the_rows(g, user).vertices == (lightest,)
+
+
+def test_tied_universal_vertices_go_to_the_least_id():
+    # 2, 5 and 6 see every vertex; 5 and 6 tie at weight 1, and 2 is heavier
+    hubs = {(min(u, x), max(u, x)) for u in (2, 5, 6) for x in range(8) if x != u}
+    g = from_edge_list(8, sorted(hubs | {(0, 1), (1, 3), (3, 4), (4, 7)}))
+    user = [1, 0, 3, 0, 0, 1, 1, 0]
+    got = _assert_answered_from_the_rows(g, user)
+    assert got.vertices == (5,) and got.user_weight == 1
+    assert _assert_answered_from_the_rows(g, None).vertices == (2,)
+
+
+def test_zero_weights_give_weight_zero_not_none():
+    g = from_edge_list(5, [(0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    got = _assert_answered_from_the_rows(g, [0] * 5)
+    assert got.vertices == (2,) and got.user_weight == 0
+    assert _assert_answered_from_the_rows(complete_graph(4), [0] * 4).user_weight == 0
+
+
+@st.composite
+def graphs_with_universal_vertices(draw):
+    """A random graph on 0..8 vertices with 1-3 universal vertices added at random ids."""
+    n, edges = draw(edge_sets(max_n=8))
+    k = draw(st.integers(1, 3))
+    ids = draw(st.permutations(range(n + k)))
+    hubs, rest = ids[:k], ids[k:]
+    pairs = {(rest[u], rest[v]) for u, v in edges}
+    pairs |= {(h, x) for h in hubs for x in ids if x != h}
+    return from_edge_list(n + k, sorted({(min(e), max(e)) for e in pairs}))
+
+
+@given(
+    graphs_with_universal_vertices(),
+    st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=11, max_size=11)),
+)
+@settings(max_examples=200, deadline=None)
+def test_graphs_with_universal_vertices_are_answered_from_the_rows(g, weights):
+    user = None if weights is None else weights[: g.n]
+    got = _assert_answered_from_the_rows(g, user)
+    assert len(got.vertices) == 1 and g.masks[got.vertices[0]].bit_count() == g.n - 1
+
+
+def _prefix_rows(g, user):
+    """solve's answer and, per LexBFS pass it made, the rows it had computed before it."""
+    import perfcode.solver
+
+    prefixes = []
+
+    def spy(h, check, rows):
+        prefixes.append([v for v, row in enumerate(rows) if row is not None])
+        return _lexbfs(h, check, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perfcode.solver, "_lexbfs", spy)
+        return solve(g, user), prefixes
+
+
+@pytest.mark.parametrize(
+    "edges, path",
+    [
+        # P4 numbered from the middle: rows 0 and 1 are full, row 2 misses 3
+        ([(0, 1), (0, 2), (1, 3)], "chordal-square"),
+        # the domino, two C4s on the edge 01: its square is not chordal
+        ([(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 4), (3, 5)], "exact-fallback"),
+    ],
+)
+def test_rows_computed_before_the_pass_are_its_first_reads(edges, path):
+    g = from_edge_list(max(map(max, edges)) + 1, edges)
+    user = [1 + v % 3 for v in range(g.n)]
+    got, [prefix] = _prefix_rows(g, user)
+    # the prefix stops at the first row that is not full, 2
+    assert got.path == path and prefix == [0, 1, 2]
+    assert lexbfs_order(square(g))[:3] == (0, 1, 2)
+    rows = _assert_on_demand_rows_match(g, user)
+    assert all(rows[v] is not None for v in prefix)
+    _assert_matches_the_references(g, user)
+
+
+@given(edge_sets(max_n=9))
+@settings(max_examples=200, deadline=None)
+def test_rows_computed_before_the_pass_are_read_by_it(ne):
+    g = from_edge_list(*ne)
+    _, prefixes = _prefix_rows(g, None)
+    complete = g.n > 0 and square(g).edge_count == g.n * (g.n - 1) // 2
+    assert len(prefixes) == (not complete)
+    if prefixes:
+        # rows 0..j, j the first that is not full; LexBFS visits them first
+        [prefix] = prefixes
+        assert prefix == list(range(len(prefix)))
+        assert lexbfs_order(square(g))[: len(prefix)] == tuple(prefix)
+        rows = [None] * g.n
+        _lexbfs(g, True, rows)
+        assert all(rows[v] is not None for v in prefix)

@@ -59,11 +59,11 @@ def mwis_chordal(g: Graph, weights: Sequence[int]) -> MwisResult:
     """
     w = _check_weights(g, weights)
     parts, seen = _lexbfs(g, True, stop_at_failure=True)
+    if parts and parts[-1][1] is None:  # a failing part is the last
+        raise ValueError("graph is not chordal")
     residual = list(w)
     chosen = 0
     for _, order, _ in parts:
-        if order is None:
-            raise ValueError("graph is not chordal")
         chosen |= _chordal_greedy(seen, residual, order)
     vertices = _mask_to_tuple(chosen)
     return MwisResult(vertices, sum(w[v] for v in vertices), "chordal-greedy")

@@ -212,6 +212,7 @@ def find_pattern(g: Graph, kind: str) -> PatternWitness | None:
 
 def _lexbfs(
     g: Graph, check: bool, rows: list | None = None, *, stop_at_failure: bool = False,
+    vertices: int | None = None,
 ) -> tuple[list[list], list[int]]:
     """The LexBFS loop of :func:`lexbfs_order`; checked, the one source of elimination orders.
 
@@ -246,17 +247,26 @@ def _lexbfs(
     (:func:`is_chordal`, :func:`is_class_member`,
     :func:`~perfcode.mwis.mwis_chordal`) set it, while ``solve`` and
     ``square_diagnostics`` need every part.
+
+    Given `vertices`, a vertex mask, the pass runs on the subgraph they
+    induce, and each part and each ``seen`` mask holds only members of it.
+    The rows stay whole, and the BFS runs over g restricted to the last
+    cell, so each component of that subgraph must be connected in g too.
+    ``solve`` runs it on the core left once the pendant vertices of g are
+    peeled (a peel keeps each component connected), so the solve route's
+    elimination order is the peel order followed by the reversal of this
+    pass on the core.
     """
     n = g.n
     nbr = g.masks if rows is None else rows
     full = (1 << n) - 1
+    unvisited = full if vertices is None else vertices
     # Cell c holds the vertices in members[c]; the list runs from head
     # along nxt[c] (and back along prv[c]), -1 ending it. Ids are not reused.
-    members = [full] if n else []
+    members = [unvisited] if unvisited else []
     nxt, prv, last = [-1], [-1], [-1]
     cell_of = [0] * n
-    head = 0 if n else -1
-    unvisited = full
+    head = 0 if unvisited else -1
     parts = []
     seen_of = [0] * n
     while head >= 0:
@@ -281,7 +291,7 @@ def _lexbfs(
             order.append(v)
             if check:
                 # v's visited neighbors, p among them: all but p must see p
-                seen = seen_of[v] = row ^ nb
+                seen = seen_of[v] = row & start ^ nb
                 if seen & nbr[p] != seen ^ (1 << p):
                     reached, c = nb, head
                     while c >= 0 and last[c] >= 0:

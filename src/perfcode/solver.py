@@ -13,18 +13,22 @@ with the pipeline.
 
 A graph of diameter at most 2 has a complete square, so its e.d.s are
 its universal vertices (a vertex that sees every other): solve answers it
-from its first rows, with no LexBFS and no greedy. Otherwise one LexBFS
-pass over the square, with the parent check, yields every connected
+from its first rows, with no LexBFS and no greedy. On a graph with fewer
+edges than vertices, solve then takes the isolated vertices into the
+e.d. and peels the pendant vertices, each simplicial in the square, as
+new ones appear. One LexBFS pass over the square of what is left, with
+the parent check, yields every connected
 component with its chordality verdict; the check stops a component at
-the first vertex that fails and builds no cycle witness. The square is
-not built up front: each row is computed when the pass or the exact
-cover first reads it. The square's structure verdicts are a
+the first vertex that fails and builds no cycle witness.
+The square is not built up front: each row is computed when the pass or
+the exact cover first reads it. The square's structure verdicts are a
 call of their own, :func:`square_diagnostics`, which solve never makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .graph import (
@@ -248,36 +252,90 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     cover the graph when there is none. So solve first computes rows 0, 1,
     ... while each is full, and when all n are it returns that vertex, or
     no e.d., on the path "chordal-square", with no LexBFS and no greedy.
-    Squaring stops each row once it is full (on a dense graph, after a few
-    neighbor rows), so that answer costs O(n) row steps. At the first row
-    that is not full it goes on as above: while every row so far is full,
-    LexBFS keeps all unvisited vertices in one cell and visits 0, 1, ...
-    in turn, each passing the parent check, so the rows already computed
-    are the first ones the pass reads, and none is computed twice.
+    A universal vertex makes row 0 full, so once it is, solve looks for
+    one among the degrees and returns it at once. Squaring stops each row
+    once it is full (on a dense graph, after a few neighbor rows), so that
+    answer costs O(n) row steps. At the first row that is not full it goes
+    on as above: while every row so far is full, LexBFS keeps all
+    unvisited vertices in one cell and visits 0, 1, ... in turn, each
+    passing the parent check, so the rows already computed are the first
+    ones the pass reads, and none is computed twice.
+
+    A graph with fewer edges than vertices has a tree component. There
+    solve stops the rows after row 0 (a complete square would be a star's,
+    with a universal vertex), takes each isolated vertex into the e.d. (its
+    component's only e.d., so it neither stops the loop nor sets the path),
+    and peels the pendant vertices before the pass, as new ones appear. A
+    pendant l with neighbor p sees N[p] - l in the square, a clique, and
+    no path of length 2 between two other vertices runs through l: so l is
+    eliminated first, with ``seen[l]`` = N[p] - l in what is left, and the
+    pass runs on the core, the vertices left (one per tree of a forest of
+    two or more vertices). Each chordal part's order then runs on with its
+    peeled vertices in reversed peel order, and a failing part's mask
+    takes them in (:func:`_attach_peeled`). The core's square is an
+    induced subgraph of the square and adding a simplicial vertex keeps a
+    square chordal, so the verdicts, the unique folded optimum and the
+    answer are those of the pass over the whole square. A graph with as
+    many edges as vertices or more is not peeled: a failing component
+    stops the pass after a few visits, so the visits a peel would spare
+    rarely repay it.
     """
     weights = _check_weights(g, user) if user is not None else None
     unit = weights if weights is not None else (0,) * g.n
     masks = g.masks
+    n = g.n
+    degree = list(map(int.bit_count, masks))
+    sparse = sum(degree) < 2 * n  # fewer edges than vertices: some component is a tree
 
-    full = (1 << g.n) - 1
-    rows = [None] * g.n
-    for v in range(g.n):
+    full = (1 << n) - 1
+    rows = [None] * n
+    for v in range(n):
         rows[v] = _square_row(masks, v, full)
         if rows[v] | 1 << v != full:
             break
+        if not v:
+            if n - 1 in degree:
+                # the square is complete: each e.d. is one vertex that sees every other
+                u = min(compress(range(n), map((n - 1).__eq__, degree)), key=unit.__getitem__)
+                return EDSolution(True, (u,), None if weights is None else weights[u], "chordal-square")
+            if sparse:
+                break  # a sparse graph with a complete square is a star: it has one
     else:
-        if g.n:
-            # a complete square: each e.d. is one vertex that sees every other
-            universal = [u for u, mask in enumerate(masks) if mask | 1 << u == full]
-            if not universal:
-                return EDSolution(False, None, None, "chordal-square")
-            u = min(universal, key=unit.__getitem__)
-            return EDSolution(True, (u,), None if weights is None else weights[u], "chordal-square")
-    parts, seen = _lexbfs(g, True, rows)
+        if n:
+            return EDSolution(False, None, None, "chordal-square")
+
+    core = full
+    isolated = 0
+    peeled = []
+    if sparse:
+        if 0 in degree:
+            # an isolated vertex is in every e.d., and its component has no other
+            isolated = sum(1 << v for v in compress(range(n), map((0).__eq__, degree)))
+            core ^= isolated
+        # peel the pendant vertices, as new ones appear: each is simplicial in the square
+        pending = list(compress(range(n), map((1).__eq__, degree)))
+        left = degree.copy()
+        later = []
+        while pending:
+            leaf = pending.pop()
+            if left[leaf]:  # else its one neighbor was peeled, and it stays
+                below = masks[leaf] & core
+                p = below.bit_length() - 1
+                core ^= 1 << leaf
+                peeled.append(leaf)
+                later.append(masks[p] & core | below)
+                d = left[p] = left[p] - 1
+                if d == 1:
+                    pending.append(p)
+    parts, seen = _lexbfs(g, True, rows, vertices=core)
+    if peeled:
+        for leaf, mask in zip(peeled, later):
+            seen[leaf] = mask
+        _attach_peeled(parts, peeled, seen, masks)
     if any(order is None for _, order, _ in parts):
         closed = [mask | (1 << v) for v, mask in enumerate(masks)]
-    combined = [0] * g.n
-    chosen = 0
+    combined = [0] * n
+    chosen = isolated
     path = "chordal-square"
     for component, order, _ in parts:
         if order is None:
@@ -285,14 +343,15 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
             path = "exact-fallback"
         else:
             k = len(order)
-            scale = 1 + sum(unit[v] for v in order)
+            scale = 1 + sum(map(unit.__getitem__, order))
             for rank, v in enumerate(sorted(order)):
-                weight = scale * (masks[v].bit_count() + 1) - unit[v]
+                weight = scale * (degree[v] + 1) - unit[v]
                 # v's low bit outweighs all larger ids' together: one optimum, the lex-least
                 combined[v] = weight << k | 1 << (k - 1 - rank)
             # uses up this component's entries of combined as residuals
             found = _chordal_greedy(seen, combined, order)
-            if sum(masks[v].bit_count() + 1 for v in _mask_to_tuple(found)) != k:
+            covers = _mask_to_tuple(found)
+            if sum(map(degree.__getitem__, covers)) + len(covers) != k:
                 found = None
         if found is None:
             return EDSolution(False, None, None, path)
@@ -300,6 +359,49 @@ def solve(g: Graph, user: Sequence[int] | None = None) -> EDSolution:
     vertices = _mask_to_tuple(chosen)
     user_weight = sum(weights[v] for v in vertices) if weights is not None else None
     return EDSolution(True, vertices, user_weight, path)
+
+
+def _attach_peeled(parts: list[list], peeled: list[int], seen: list[int], masks) -> None:
+    """Give each LexBFS part of the core back the peeled vertices that hang from it.
+
+    `peeled` lists the peeled vertices in peel order, and ``seen[leaf]`` is
+    the closed neighborhood, less leaf, of the one neighbor it had when
+    peeled: a vertex peeled later, or one of the core. A chordal part's
+    order takes them in reversed peel order, and a failing part's mask
+    takes them in. One chordal part takes them all. Otherwise each goes to
+    the part of that neighbor, and the parts are then put in order of the
+    least vertex of each whole component, as solve stops at the first
+    component with no e.d. and reads its path from the first non-chordal
+    one on.
+    """
+    if len(parts) == 1 and parts[0][1] is not None:
+        parts[0][1] += reversed(peeled)
+        return
+    # home[v]: the list that takes the peeled vertices hanging from v, the
+    # order of v's part, or a list of its own for a failing part
+    home = [None] * len(seen)
+    failing = []
+    for part in parts:
+        mask, order, _ = part
+        if order is None:
+            members, order = _mask_to_tuple(mask), []
+            failing.append((part, order))
+        else:
+            members = order
+        for v in members:
+            home[v] = order
+    for leaf in reversed(peeled):
+        # its neighbor when peeled is its one neighbor in seen[leaf]
+        home[leaf] = home[(masks[leaf] & seen[leaf]).bit_length() - 1]
+        home[leaf].append(leaf)
+    for part, extra in failing:
+        part[0] |= sum(1 << leaf for leaf in extra)
+    parts.sort(key=_least_vertex)
+
+
+def _least_vertex(part: list) -> int:
+    mask, order, _ = part
+    return min(order) if mask is None else (mask & -mask).bit_length() - 1
 
 
 def square_diagnostics(g: Graph) -> SquareDiagnostics:

@@ -52,6 +52,20 @@ def test_chordal_greedy_rejects_non_chordal_graphs():
             mwis_chordal(g, (1,) * g.n)
 
 
+def test_chordal_greedy_raises_before_any_greedy(monkeypatch):
+    # the tree's square is chordal and comes first; the C6's fails, and the
+    # pass stops there, so the failing part is the last one
+    import perfcode.mwis
+
+    def no_greedy(*args):
+        raise AssertionError("_chordal_greedy ran")
+
+    g = square(disjoint_union(gen_random_chordal(3000, 0.0, 1), cycle_graph(6)))
+    monkeypatch.setattr(perfcode.mwis, "_chordal_greedy", no_greedy)
+    with pytest.raises(ValueError, match="^graph is not chordal$"):
+        mwis_chordal(g, [1] * g.n)
+
+
 def test_chordal_greedy_skips_zero_weight_vertices():
     g = from_edge_list(3, [])
     result = mwis_chordal(g, (0, 2, 0))

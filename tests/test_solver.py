@@ -18,11 +18,13 @@ from perfcode import (
     Graph,
     closed_neighborhood_weights,
     complete_sun,
+    connected_components,
     cycle_graph,
     find_hole,
     find_odd_antihole,
     from_edge_list,
     gen_random_chordal,
+    induced_subgraph,
     mwis_chordal,
     mwis_exact,
     is_chordal,
@@ -228,9 +230,9 @@ def _count_calls(monkeypatch, names=SEARCHES):
     calls = Counter()
     for name in names:
 
-        def counted(*args, _name=name, _original=getattr(perfcode.solver, name)):
+        def counted(*args, _name=name, _original=getattr(perfcode.solver, name), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(perfcode.solver, name, counted)
     return calls
@@ -873,18 +875,26 @@ def test_graphs_with_universal_vertices_are_answered_from_the_rows(g, weights):
 
 
 def _prefix_rows(g, user):
-    """solve's answer and, per LexBFS pass it made, the rows it had computed before it."""
+    """solve's answer and, per LexBFS pass it made, the rows it had computed before it and its core."""
     import perfcode.solver
 
-    prefixes = []
+    passes = []
 
-    def spy(h, check, rows):
-        prefixes.append([v for v, row in enumerate(rows) if row is not None])
-        return _lexbfs(h, check, rows)
+    def spy(h, check, rows, **kwargs):
+        prefix = [v for v, row in enumerate(rows) if row is not None]
+        passes.append((prefix, kwargs.get("vertices", (1 << h.n) - 1)))
+        return _lexbfs(h, check, rows, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(perfcode.solver, "_lexbfs", spy)
-        return solve(g, user), prefixes
+        return solve(g, user), passes
+
+
+def _assert_prefix_rows_are_read_or_peeled(g, prefix, core):
+    """Each row solve computed before its pass belongs to a peeled vertex or is read by the pass."""
+    rows = [None] * g.n
+    _lexbfs(g, True, rows, vertices=core)
+    assert all(rows[v] is not None or not core >> v & 1 for v in prefix)
 
 
 @pytest.mark.parametrize(
@@ -899,10 +909,15 @@ def _prefix_rows(g, user):
 def test_rows_computed_before_the_pass_are_its_first_reads(edges, path):
     g = from_edge_list(max(map(max, edges)) + 1, edges)
     user = [1 + v % 3 for v in range(g.n)]
-    got, [prefix] = _prefix_rows(g, user)
-    # the prefix stops at the first row that is not full, 2
-    assert got.path == path and prefix == [0, 1, 2]
-    assert lexbfs_order(square(g))[:3] == (0, 1, 2)
+    got, [(prefix, core)] = _prefix_rows(g, user)
+    # On the domino the prefix stops at the first row that is not full, 2.
+    # The P4 has fewer edges than vertices, so a complete square would be a
+    # star's, with a universal vertex: its rows stop after row 0, and the
+    # peel leaves one vertex to the pass, 2.
+    assert got.path == path and prefix == ([0] if g.edge_count < g.n else [0, 1, 2])
+    assert (core == 1 << 2) if g.edge_count < g.n else (core == (1 << g.n) - 1)
+    assert lexbfs_order(square(g))[: len(prefix)] == tuple(prefix)
+    _assert_prefix_rows_are_read_or_peeled(g, prefix, core)
     rows = _assert_on_demand_rows_match(g, user)
     assert all(rows[v] is not None for v in prefix)
     _assert_matches_the_references(g, user)
@@ -912,14 +927,142 @@ def test_rows_computed_before_the_pass_are_its_first_reads(edges, path):
 @settings(max_examples=200, deadline=None)
 def test_rows_computed_before_the_pass_are_read_by_it(ne):
     g = from_edge_list(*ne)
-    _, prefixes = _prefix_rows(g, None)
+    _, passes = _prefix_rows(g, None)
     complete = g.n > 0 and square(g).edge_count == g.n * (g.n - 1) // 2
-    assert len(prefixes) == (not complete)
-    if prefixes:
-        # rows 0..j, j the first that is not full; LexBFS visits them first
-        [prefix] = prefixes
+    assert len(passes) == (not complete)
+    if passes:
+        # rows 0..j, j the first that is not full, or row 0 alone of a
+        # graph with fewer edges than vertices; LexBFS on the whole square
+        # visits them first, and the pass on the core reads those it keeps
+        [(prefix, core)] = passes
         assert prefix == list(range(len(prefix)))
         assert lexbfs_order(square(g))[: len(prefix)] == tuple(prefix)
-        rows = [None] * g.n
-        _lexbfs(g, True, rows)
-        assert all(rows[v] is not None for v in prefix)
+        _assert_prefix_rows_are_read_or_peeled(g, prefix, core)
+        if core != (1 << g.n) - 1:
+            assert g.edge_count < g.n and prefix == [0]
+
+
+def _count_rows(mp):
+    """Count the calls of _square_row from solve, its LexBFS pass and its exact cover."""
+    import perfcode.recognition
+    import perfcode.solver
+
+    calls = Counter()
+    for module in (perfcode.solver, perfcode.recognition):
+
+        def counted(*args, _original=module._square_row):
+            calls["rows"] += 1
+            return _original(*args)
+
+        mp.setattr(module, "_square_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(1),
+        complete_graph(9),
+        # a hub 4 joined to every vertex of P8 on the others
+        from_edge_list(9, sorted({(min(4, v), max(4, v)) for v in range(9) if v != 4}
+                                 | {(0, 1), (1, 2), (2, 3), (3, 5), (5, 6), (6, 7), (7, 8)})),
+        # a star with its centre last
+        from_edge_list(6, [(v, 5) for v in range(5)]),
+    ],
+)
+def test_a_universal_vertex_answers_after_one_row(g):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_rows(mp)
+        got = solve(g)
+        assert calls["rows"] == 1
+    assert got.path == "chordal-square" and g.masks[got.vertices[0]].bit_count() == g.n - 1
+    assert got == replace(oracle_ed(g), path="chordal-square")
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_component_order_is_that_of_the_least_vertex_of_each_whole_component(n):
+    # A C6 on 2..7 carries the pendant 0, and 1, 8, 9, 10 form a C4. Neither
+    # has an e.d. The C6 comes first, as its least vertex is 0, and its
+    # square is not chordal. With the isolated vertex 11 there are fewer
+    # edges than vertices, so 0 is peeled, and the core that LexBFS runs on
+    # starts at 1, in the C4, whose square is chordal.
+    edges = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 2), (0, 2), (1, 8), (8, 9), (9, 10), (10, 1)]
+    g = from_edge_list(n, edges)
+    got = solve(g)
+    assert not got.exists and got.path == "exact-fallback" == _expected_path(g)
+    assert got == solve(g, [1] * g.n) and not oracle_ed(g).exists
+
+
+def _expected_path(g):
+    """The path solve reports, from each component's square on its own, in order of least vertex."""
+    path = "chordal-square"
+    for component in connected_components(g):
+        h = induced_subgraph(g, component)
+        if not is_chordal(square(h))[0]:
+            path = "exact-fallback"
+        if not oracle_ed(h).exists:
+            break
+    return path
+
+
+@st.composite
+def pendant_rich_graphs(draw):
+    """A union of trees, cycles with pendant trees, single edges and isolated vertices.
+
+    The ids are shuffled, so a vertex that solve peels is often the least
+    of its component, and components interleave.
+    """
+    pieces = []
+    for kind in draw(st.lists(st.sampled_from(["tree", "cycle", "edge", "vertex"]), min_size=1, max_size=4)):
+        if kind == "tree":
+            k = draw(st.integers(1, 6))
+            pieces.append((k, [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]))
+        elif kind == "cycle":
+            c = draw(st.integers(3, 6))
+            edges = [(v, (v + 1) % c) for v in range(c)]
+            k = c + draw(st.integers(0, 4))
+            pieces.append((k, edges + [(draw(st.integers(0, v - 1)), v) for v in range(c, k)]))
+        elif kind == "edge":
+            pieces.append((2, [(0, 1)]))
+        else:
+            pieces.append((1, []))
+    n = sum(k for k, _ in pieces)
+    assume(n <= 14)
+    ids = draw(st.permutations(range(n)))
+    edges, offset = [], 0
+    for k, piece in pieces:
+        edges += [tuple(sorted((ids[offset + u], ids[offset + v]))) for u, v in piece]
+        offset += k
+    return from_edge_list(n, sorted(edges))
+
+
+@given(pendant_rich_graphs(), st.one_of(st.none(), st.lists(st.integers(0, 4), min_size=14, max_size=14)))
+@settings(max_examples=300, deadline=None)
+def test_solve_with_pendant_vertices_matches_the_references(g, weights):
+    user = None if weights is None else weights[: g.n]
+    got = solve(g, user)
+    assert got.vertices == bf.least_ed(g.n, list(g.edges()), user)
+    oracle = oracle_ed(g, user)
+    assert got.exists == oracle.exists and got.user_weight == oracle.user_weight
+    assert got.path == _expected_path(g)
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_a_forest_computes_a_row_per_tree_and_one(sizes, rng):
+    # the pre-check's row 0, then the one vertex left of each tree once its
+    # pendant vertices are peeled, as new ones appear
+    edges, offset = [], 0
+    for k in sizes:
+        edges += [(offset + rng.randrange(v), offset + v) for v in range(1, k)]
+        offset += k
+    ids = list(range(offset))
+    rng.shuffle(ids)
+    g = from_edge_list(offset, [(ids[u], ids[v]) for u, v in edges])
+    user = [rng.randint(0, 5) for _ in range(g.n)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_rows(mp)
+        got = solve(g, user)
+    assert calls["rows"] <= 1 + len(sizes)
+    oracle = oracle_ed(g, user)
+    assert got.exists == oracle.exists and got.user_weight == oracle.user_weight
